@@ -14,6 +14,7 @@ import json
 import sys
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -22,7 +23,6 @@ from .scalar_kernels import (
     InvalidParameterError,
     SingularValueError,
     _principal_sqrt,
-    gauss_2f1,
     jacobi_sn_cn_dn,
     lemma1_identity,
 )
@@ -40,9 +40,6 @@ from .generating_functions import GFWeights, gf_verify_order, kernel_A, kernel_B
 
 __all__ = ["RunConfig", "main", "run", "sweep_table"]
 
-_VERIFY_TARGETS = (
-    "lemma1", "ode", "residue", "gf-order0", "gf-order1", "gf-order2", "kernels",
-)
 _SWEEP_TARGETS = ("eval-series", "gf-order0")
 _RESIDUE_SEED = 20240817
 
@@ -155,6 +152,17 @@ def _report_obj(command, params, lhs, rhs, gap, tail, ok):
         "tail_estimate": float(tail),
         "pass": bool(ok),
     }
+
+
+def _emit_record(cfg, header, row, fields, **params):
+    """One-record output: a single CSV row, or a JSON report holding fields."""
+    if cfg.fmt == "json":
+        obj = {"command": cfg.command, "params": _params_dict(cfg, **params)}
+        obj.update(fields)
+        _emit(_json_text(obj), cfg.out)
+    else:
+        _emit(_csv_text(header, [row]), cfg.out)
+    return 0
 
 
 def _emit_verify(cfg, name, ok, summary, report, header, rows):
@@ -293,24 +301,24 @@ def _point(cfg):
 
 # ------------------------------------------------------------- eval commands
 
-def _run_eval_series(cfg, params):
+_SERIES_HEADER = ["rho", "h", "alpha", "lam", "xi", "n_terms", "value"]
+
+
+def _series_row(cfg, params, pt):
+    """Series value at pt as a row under _SERIES_HEADER (40 terms by default)."""
     n = 40 if cfg.n_terms is None else cfg.n_terms
     series = series_coefficients(params, cfg.lam, 1.0, n)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        value = eval_series(series, _point(cfg))
-    header = ["rho", "h", "alpha", "lam", "xi", "n_terms", "value"]
-    row = [cfg.rho, cfg.h, cfg.alpha, cfg.lam, cfg.xi, n, value]
-    if cfg.fmt == "json":
-        obj = {
-            "command": "eval-series",
-            "params": _params_dict(cfg, n_terms=n),
-            "value": float(value),
-        }
-        _emit(_json_text(obj), cfg.out)
-    else:
-        _emit(_csv_text(header, [row]), cfg.out)
-    return 0
+        value = eval_series(series, pt)
+    return [cfg.rho, cfg.h, cfg.alpha, cfg.lam, cfg.xi, n, value]
+
+
+def _run_eval_series(cfg, params):
+    row = _series_row(cfg, params, _point(cfg))
+    return _emit_record(
+        cfg, _SERIES_HEADER, row, {"value": float(row[-1])}, n_terms=row[5]
+    )
 
 
 def _run_eval_sn(cfg, params):
@@ -319,19 +327,8 @@ def _run_eval_sn(cfg, params):
     sn, cn, dn = jacobi_sn_cn_dn(cfg.z, cfg.rho)
     header = ["rho", "z", "sn", "cn", "dn", "xi"]
     row = [cfg.rho, cfg.z, sn, cn, dn, sn * sn]
-    if cfg.fmt == "json":
-        obj = {
-            "command": "eval-sn",
-            "params": _params_dict(cfg),
-            "sn": float(sn),
-            "cn": float(cn),
-            "dn": float(dn),
-            "xi": float(sn * sn),
-        }
-        _emit(_json_text(obj), cfg.out)
-    else:
-        _emit(_csv_text(header, [row]), cfg.out)
-    return 0
+    fields = {"sn": float(sn), "cn": float(cn), "dn": float(dn), "xi": float(sn * sn)}
+    return _emit_record(cfg, header, row, fields)
 
 
 def _run_heun_map(cfg, params):
@@ -344,19 +341,11 @@ def _run_heun_map(cfg, params):
         cfg.rho, cfg.h, cfg.alpha, hp.gamma, hp.delta, hp.epsilon, hp.a,
         hp.alpha_h, hp.beta_h, hp.q,
     ]
-    if cfg.fmt == "json":
-        obj = {
-            "command": "heun-map",
-            "params": _params_dict(cfg),
-            "heun": {
-                "gamma": hp.gamma, "delta": hp.delta, "epsilon": hp.epsilon,
-                "a": hp.a, "alpha_h": hp.alpha_h, "beta_h": hp.beta_h, "q": hp.q,
-            },
-        }
-        _emit(_json_text(obj), cfg.out)
-    else:
-        _emit(_csv_text(header, [row]), cfg.out)
-    return 0
+    heun = {
+        "gamma": hp.gamma, "delta": hp.delta, "epsilon": hp.epsilon,
+        "a": hp.a, "alpha_h": hp.alpha_h, "beta_h": hp.beta_h, "q": hp.q,
+    }
+    return _emit_record(cfg, header, row, {"heun": heun})
 
 
 # ----------------------------------------------------------- verify targets
@@ -511,15 +500,11 @@ def _verify_gf_order(cfg, params, order_n):
         )
         rep = reps[passing[0]] if ok else reps[2]
         rows = [_gf_row(cfg, a_max, p, reps[p], reps[p].passes(tol)) for p in (1, 2)]
-        report = _report_obj(
-            f"verify {name}", pdict, rep.lhs, rep.rhs, rep.gap,
-            rep.truncation_estimate, ok,
-        )
-        return _emit_verify(cfg, name, ok, summary, report, _gf_row_header(cfg), rows)
-    rep = _gf_report(cfg, order_n, a_max, nodes, m, 2)
-    ok = rep.passes(tol)
-    summary = f"gap={rep.gap:.3e} tol={tol:g} tail={rep.truncation_estimate:.3e}"
-    rows = [_gf_row(cfg, a_max, 2, rep, ok)]
+    else:
+        rep = _gf_report(cfg, order_n, a_max, nodes, m, 2)
+        ok = rep.passes(tol)
+        summary = f"gap={rep.gap:.3e} tol={tol:g} tail={rep.truncation_estimate:.3e}"
+        rows = [_gf_row(cfg, a_max, 2, rep, ok)]
     report = _report_obj(
         f"verify {name}", pdict, rep.lhs, rep.rhs, rep.gap,
         rep.truncation_estimate, ok,
@@ -542,13 +527,8 @@ def _verify_kernels(cfg, params):
     for fam, gamma, lam, pref, kernel in families:
         for s in s_vals:
             for x in x_vals:
-                total, weight = 0.0, 1.0
-                for a0 in range(n + 1):
-                    if a0 > 0:
-                        weight = weight * (gamma + a0 - 1) / a0
-                    total += weight * s**a0 * gauss_2f1(
-                        -float(a0), a0 + 0.25 + lam, 0.75 + lam, x
-                    )
+                # terms (gamma)_a/a! s^a 2F1(-a, a + 1/4 + lam; 3/4 + lam; x)
+                total = lemma1_identity(gamma, 0.25 + lam, s, x, n)["lhs"]
                 closed = pref * kernel(s, x)
                 gap = abs(total - closed)
                 ok = gap < tol
@@ -574,19 +554,21 @@ def _verify_kernels(cfg, params):
     return _emit_verify(cfg, "kernels", ok, summary, report, header, rows)
 
 
+_VERIFY_TARGETS = {
+    "lemma1": _verify_lemma1,
+    "ode": _verify_ode,
+    "residue": _verify_residue,
+    "gf-order0": partial(_verify_gf_order, order_n=0),
+    "gf-order1": partial(_verify_gf_order, order_n=1),
+    "gf-order2": partial(_verify_gf_order, order_n=2),
+    "kernels": _verify_kernels,
+}
+
+
 def _run_verify(cfg, params):
-    target = cfg.target
-    if target == "lemma1":
-        return _verify_lemma1(cfg, params)
-    if target == "ode":
-        return _verify_ode(cfg, params)
-    if target == "residue":
-        return _verify_residue(cfg, params)
-    if target in ("gf-order0", "gf-order1", "gf-order2"):
-        return _verify_gf_order(cfg, params, int(target[-1]))
-    if target == "kernels":
-        return _verify_kernels(cfg, params)
-    raise UsageError(f"unknown verify target {target!r}")
+    if cfg.target not in _VERIFY_TARGETS:
+        raise UsageError(f"unknown verify target {cfg.target!r}")
+    return _VERIFY_TARGETS[cfg.target](cfg, params)
 
 
 # ------------------------------------------------------------------- sweep
@@ -613,13 +595,9 @@ def sweep_table(cfg):
             _apply_axis(point, name, value)
         p = LameParams(rho=point.rho, alpha=point.alpha, h=point.h)
         if cfg.target == "eval-series":
-            n = 40 if point.n_terms is None else point.n_terms
-            series = series_coefficients(p, point.lam, 1.0, n)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                value = eval_series(series, EvaluationPoint.from_xi(point.xi, point.rho))
-            header = ["rho", "h", "alpha", "lam", "xi", "n_terms", "value"]
-            rows.append([point.rho, point.h, point.alpha, point.lam, point.xi, n, value])
+            header = _SERIES_HEADER
+            pt = EvaluationPoint.from_xi(point.xi, point.rho)
+            rows.append(_series_row(point, p, pt))
         else:  # gf-order0
             d_amax, d_nodes, d_m, d_tol = _GF_ORDER_DEFAULTS[0]
             a_max = d_amax if point.a_max is None else point.a_max

@@ -21,16 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scalar_kernels import (
-    InvalidParameterError,
-    SingularValueError,
-    _principal_sqrt,
-    pochhammer,
-)
-from .lame_series import LameParams, lam_value
+from .scalar_kernels import InvalidParameterError, SingularValueError, _principal_sqrt
+from .lame_series import lam_value
 from .integral_forms import (
     AlphaChain,
     SParameters,
+    _f21_terminating,
+    _w_tilde_vals,
     base_series_coefficients,
     diag_operator_multipliers,
     make_quadrature_grid,
@@ -129,18 +126,28 @@ def _radical(s, w):
 
 def kernel_A(s, x):
     """First-kind closed kernel (1-s+R)^(1/4) (1+s+R)^(1/2) / R."""
-    if not abs(s) < 1:
-        raise InvalidParameterError(f"weight must satisfy |s| < 1, got {s}")
-    R = _radical(s, x)
-    return (1 - s + R) ** 0.25 * (1 + s + R) ** 0.5 / R
+    return _kernel_ab_derivs(0.25, s, x)[0]
 
 
 def kernel_B(s, x):
     """Second-kind closed kernel (1-s+R)^(-1/4) (1+s+R)^(1/2) / R."""
+    return _kernel_ab_derivs(-0.25, s, x)[0]
+
+
+def _kernel_ab_derivs(p_exp, s, w):
+    """Closed kernel (1-s+R)^p (1+s+R)^(1/2) / R with first two w-derivatives."""
     if not abs(s) < 1:
         raise InvalidParameterError(f"weight must satisfy |s| < 1, got {s}")
-    R = _radical(s, x)
-    return (1 - s + R) ** -0.25 * (1 + s + R) ** 0.5 / R
+    R = _radical(s, w)
+    a = 1 - s + R
+    b = 1 + s + R
+    f = a**p_exp * b**0.5 / R
+    rp = 2 * s / R
+    g = (p_exp / a + 0.5 / b - 1 / R) * rp
+    gp = (-p_exp / a**2 - 0.5 / b**2 + 1 / R**2) * rp**2 + (
+        p_exp / a + 0.5 / b - 1 / R
+    ) * (-(rp**2) / R)
+    return f, f * g, f * (g * g + gp)
 
 
 def _kernel_level(lam, level, s_eff, t, u, x):
@@ -163,21 +170,51 @@ def kernel_psi(level_n, k_offset, s_eff, t, u, x):
     return _kernel_level(0.5, level_n - k_offset, s_eff, t, u, x)
 
 
-def _w_tilde_vals(s_eff, t, u, x):
-    """Vectorized closed chained variable on Gauss-Jacobi meshes."""
-    if s_eff == 0:
-        return np.zeros(np.broadcast(t, u).shape)
-    xt = x * (1 - t) * (1 - u)
-    rad = s_eff * s_eff - 2 * (1 - 2 * xt) * s_eff + 1
-    root = _principal_sqrt(rad)
-    num = 1 + (s_eff + 2 * xt) * s_eff - (1 + s_eff) * root
-    return x * t * u * num / (2 * (1 - xt) ** 2 * s_eff)
-
-
 def _level_mesh(level_rule):
     t, u = np.meshgrid(level_rule.t_nodes, level_rule.u_nodes, indexing="ij")
     w = np.outer(level_rule.t_weights, level_rule.u_weights)
     return t, u, w
+
+
+def _level_sum(lam, level, s_eff, mesh, x, acted):
+    """One closed level: sum of weight * level kernel * acted(w~) on the mesh."""
+    t, u, w = mesh
+    ker = _kernel_level(lam, level, s_eff, t, u, x)
+    return np.sum(w * ker * acted(_w_tilde_vals(s_eff, t, u, x)))
+
+
+def _closed_levels(params, lam, s, grid, eta, acted, n, op_power):
+    """Closed right side of levels 1..n, before the mu^n xi^lam and trailing factors.
+
+    acted(w~) is the operator-acted level-1 integrand.  For n = 2 the level-1
+    sum is a function of the level-2 chained variable; its Taylor coefficients
+    come from an FFT on a circle four times wider than the largest |w~|, so
+    the level-2 operator can act on them power by power.
+    """
+    s_eff = s_partial_product(s, n, s.K)
+    outer = _level_mesh(grid.levels[n - 1])
+    if n == 1:
+        return float(_level_sum(lam, 1, s_eff, outer, eta, acted))
+    inner = _level_mesh(grid.levels[0])
+    wt_outer = _w_tilde_vals(s_eff, outer[0], outer[1], eta)
+    m_x = 48
+    r_f = max(4 * float(np.max(np.abs(wt_outer))), 0.02)
+    xs = r_f * np.exp(2j * np.pi * np.arange(m_x) / m_x)
+    g_vals = np.array([_level_sum(lam, 1, s[1], inner, x, acted) for x in xs])
+    taylor = (np.fft.fft(g_vals) / (m_x * r_f ** np.arange(m_x))).real
+    mult2 = diag_operator_multipliers(params, (1 + lam) / 2, op_power, m_x - 1)
+    g_op = (taylor * mult2)[::-1]
+    return float(
+        _level_sum(lam, 2, s_eff, outer, eta, lambda wt: np.polyval(g_op, wt))
+    )
+
+
+def _geom(s, from_k):
+    """Trailing factor prod_{k >= from_k} 1/(1 - s_k...s_K) of the resummed sums."""
+    out = 1.0
+    for k in range(from_k, s.K + 1):
+        out /= 1 - s_partial_product(s, k, s.K)
+    return out
 
 
 def _require_grid(grid, lam, n_levels):
@@ -192,24 +229,12 @@ def _require_grid(grid, lam, n_levels):
     return grid
 
 
-def _f21_terminating(n_top, c, x):
-    acc = np.ones_like(x)
-    term = np.ones_like(x)
-    for k in range(1, n_top + 1):
-        term = term * (((-n_top + k - 1) * (c + k - 1)) / (k * k)) * x
-        acc = acc + term
-    return acc
-
-
-def _trailing_table(s, order_n, a_max, chain_free):
+def _trailing_table(s, order_n, a_max):
     """Weights of the alpha sums beyond order_n, as a table over alpha."""
     table = np.ones(a_max + 1)
     for m in range(s.K, order_n, -1):
         weighted = s[m] ** np.arange(a_max + 1) * table
-        if chain_free:
-            table = np.full(a_max + 1, weighted.sum())
-        else:
-            table = np.cumsum(weighted[::-1])[::-1]
+        table = np.cumsum(weighted[::-1])[::-1]
     return table
 
 
@@ -225,14 +250,14 @@ def _ups_op_coeffs(lam, gamma, s0, a_max, multipliers):
     return coeffs * multipliers
 
 
-def _lhs_with_tail(params, lam, weights, pt, order_n, chain_free, grid, op_power):
+def _lhs_with_tail(params, lam, weights, pt, order_n, grid, op_power):
     lam = lam_value(lam)
     if order_n > weights.K:
         raise InvalidParameterError(f"order {order_n} exceeds chain length K={weights.K}")
     s = weights.s
     a_max = weights.A_max
     gw = _gw_weights(weights.gamma, a_max)
-    trailing = _trailing_table(s, order_n, a_max, chain_free)
+    trailing = _trailing_table(s, order_n, a_max)
 
     if order_n == 0:
         total = 0.0
@@ -259,25 +284,14 @@ def _lhs_with_tail(params, lam, weights, pt, order_n, chain_free, grid, op_power
         suffix = [None] * (a_max + 1)
         acc = np.zeros(t.shape)
         last = 0.0
-        if chain_free:
-            for i in range(a_max + 1):
-                block = np.zeros(t.shape)
-                for a1 in range(i, a_max + 1):
-                    block += (
-                        s[1] ** a1
-                        * trailing[a1]
-                        * _f21_terminating(a1 - i, 1.25 + lam + a1 + i, big_x)
-                    )
-                suffix[i] = block
         for a0 in range(a_max, -1, -1):
-            if not chain_free:
-                for i in range(a0 + 1):
-                    row = (
-                        s[1] ** a0
-                        * trailing[a0]
-                        * _f21_terminating(a0 - i, 1.25 + lam + a0 + i, big_x)
-                    )
-                    suffix[i] = row if suffix[i] is None else suffix[i] + row
+            for i in range(a0 + 1):
+                row = (
+                    s[1] ** a0
+                    * trailing[a0]
+                    * _f21_terminating(a0 - i, 1.25 + lam + a0 + i, big_x)
+                )
+                suffix[i] = row if suffix[i] is None else suffix[i] + row
             if s[0] == 0 and a0 > 0:
                 continue
             kap = base_series_coefficients(a0, lam)
@@ -291,10 +305,6 @@ def _lhs_with_tail(params, lam, weights, pt, order_n, chain_free, grid, op_power
         return value, abs(pt.mu) * pt.xi**lam * last * a_max
 
     # order 2: brute nested chain sum over the closed integral terms
-    if chain_free:
-        raise InvalidParameterError(
-            "chain_free is a diagnostic mode for orders 0 and 1 only"
-        )
     total = 0.0
     last = 0.0
     for a0 in range(a_max + 1):
@@ -318,13 +328,9 @@ def _lhs_with_tail(params, lam, weights, pt, order_n, chain_free, grid, op_power
     return total, last * a_max
 
 
-def gf_lhs_order(params, lam, weights, pt, order_n, chain_free=False, grid=None,
-                 op_power=2):
+def gf_lhs_order(params, lam, weights, pt, order_n, grid=None, op_power=2):
     """Weight operator applied to the order-n terms of the series solution."""
-    value, _ = _lhs_with_tail(
-        params, lam, weights, pt, order_n, chain_free, grid, op_power
-    )
-    return value
+    return _lhs_with_tail(params, lam, weights, pt, order_n, grid, op_power)[0]
 
 
 def gf_rhs_order(params, lam, weights, pt, order_n, grid=None, op_power=2):
@@ -336,50 +342,18 @@ def gf_rhs_order(params, lam, weights, pt, order_n, grid=None, op_power=2):
         raise InvalidParameterError(f"order {order_n} exceeds chain length K={weights.K}")
     s = weights.s
     a_max = weights.A_max
-    prefactor = 1.0
-    for k in range(order_n + 1, s.K + 1):
-        prefactor /= 1 - s_partial_product(s, k, s.K)
+    prefactor = _geom(s, order_n + 1)
 
     if order_n == 0:
         return prefactor * upsilon(lam, weights.gamma, s_partial_product(s, 0, s.K),
                                    pt.eta, pt, a_max)
 
     grid = _require_grid(grid, lam, order_n)
-
-    if order_n == 1:
-        s_eff = s_partial_product(s, 1, s.K)
-        mult = diag_operator_multipliers(params, lam / 2, op_power, a_max)
-        coeffs = _ups_op_coeffs(lam, weights.gamma, s[0], a_max, mult)
-        t, u, w = _level_mesh(grid.levels[0])
-        ker = _kernel_level(lam, 1, s_eff, t, u, pt.eta)
-        wt = _w_tilde_vals(s_eff, t, u, pt.eta)
-        ups = np.polyval(coeffs[::-1], wt)
-        total = float(np.sum(w * ker * ups))
-        return pt.mu * pt.xi**lam * prefactor * total
-
-    # order 2: Taylor-transfer of the inner level through the outer operator
-    s_eff2 = s_partial_product(s, 2, s.K)
-    mult1 = diag_operator_multipliers(params, lam / 2, op_power, a_max)
-    coeffs = _ups_op_coeffs(lam, weights.gamma, s[0], a_max, mult1)
-    t2, u2, w2 = _level_mesh(grid.levels[1])
-    ker2 = _kernel_level(lam, 2, s_eff2, t2, u2, pt.eta)
-    wt22 = _w_tilde_vals(s_eff2, t2, u2, pt.eta)
-    t1, u1, w1 = _level_mesh(grid.levels[0])
-
-    m_x = 48
-    r_f = max(4 * float(np.max(np.abs(wt22))), 0.02)
-    xs = r_f * np.exp(2j * np.pi * np.arange(m_x) / m_x)
-    g_vals = np.empty(m_x, dtype=complex)
-    for ix, x in enumerate(xs):
-        ker1 = _kernel_level(lam, 1, s[1], t1, u1, x)
-        wt12 = _w_tilde_vals(s[1], t1, u1, x)
-        ups = np.polyval(coeffs[::-1], wt12)
-        g_vals[ix] = np.sum(w1 * ker1 * ups)
-    taylor = (np.fft.fft(g_vals) / (m_x * r_f ** np.arange(m_x))).real
-    mult2 = diag_operator_multipliers(params, (1 + lam) / 2, op_power, m_x - 1)
-    g_op = np.polyval((taylor * mult2)[::-1], wt22)
-    total = float(np.sum(w2 * ker2 * g_op))
-    return pt.mu**2 * pt.xi**lam * prefactor * total
+    mult = diag_operator_multipliers(params, lam / 2, op_power, a_max)
+    coeffs = _ups_op_coeffs(lam, weights.gamma, s[0], a_max, mult)[::-1]
+    total = _closed_levels(params, lam, s, grid, pt.eta,
+                           lambda wt: np.polyval(coeffs, wt), order_n, op_power)
+    return pt.mu**order_n * pt.xi**lam * prefactor * total
 
 
 def gf_order1_origin_residue(params, lam, weights, pt, grid=None, op_power=2):
@@ -395,9 +369,7 @@ def gf_order1_origin_residue(params, lam, weights, pt, grid=None, op_power=2):
     a_max = weights.A_max
     grid = _require_grid(grid, lam, 1)
     s_eff = s_partial_product(s, 1, s.K)
-    prefactor = 1.0
-    for k in range(2, s.K + 1):
-        prefactor /= 1 - s_partial_product(s, k, s.K)
+    prefactor = _geom(s, 2)
     gw = _gw_weights(weights.gamma, a_max)
     mult = diag_operator_multipliers(params, lam / 2, op_power, a_max)
 
@@ -438,12 +410,9 @@ def gf_order1_origin_residue(params, lam, weights, pt, grid=None, op_power=2):
     return pt.mu * pt.xi**lam * prefactor * total
 
 
-def gf_verify_order(params, lam, weights, pt, order_n, grid=None, op_power=2,
-                    chain_free=False):
+def gf_verify_order(params, lam, weights, pt, order_n, grid=None, op_power=2):
     """Compute both sides of the order-n identity and report the gap."""
-    lhs, tail = _lhs_with_tail(
-        params, lam, weights, pt, order_n, chain_free, grid, op_power
-    )
+    lhs, tail = _lhs_with_tail(params, lam, weights, pt, order_n, grid, op_power)
     rhs = gf_rhs_order(params, lam, weights, pt, order_n, grid, op_power)
     return GFOrderReport(
         order_n=order_n,
@@ -452,20 +421,6 @@ def gf_verify_order(params, lam, weights, pt, order_n, grid=None, op_power=2,
         gap=abs(lhs - rhs),
         truncation_estimate=tail,
     )
-
-
-def _kernel_ab_derivs(p_exp, q_exp, s, w):
-    """Closed kernel (1-s+R)^p (1+s+R)^q / R with first two w-derivatives."""
-    R = _radical(s, w)
-    a = 1 - s + R
-    b = 1 + s + R
-    f = a**p_exp * b**q_exp / R
-    rp = 2 * s / R
-    g = (p_exp / a + q_exp / b - 1 / R) * rp
-    gp = (-p_exp / a**2 - q_exp / b**2 + 1 / R**2) * rp**2 + (
-        p_exp / a + q_exp / b - 1 / R
-    ) * (-(rp**2) / R)
-    return f, f * g, f * (g * g + gp)
 
 
 def _op_closed(params, a_conj, op_power, f, fp, fpp, w):
@@ -498,46 +453,15 @@ def gf_remark(kind, params, weights, pt, grid, n_max):
     if n_max > s.K:
         raise InvalidParameterError(f"n_max {n_max} exceeds chain length K={s.K}")
 
-    def geom(from_k):
-        out = 1.0
-        for k in range(from_k, s.K + 1):
-            out /= 1 - s_partial_product(s, k, s.K)
-        return out
+    def acted(wt):
+        return _op_closed(params, lam / 2, 2, *_kernel_ab_derivs(p_exp, s[0], wt), wt)
 
-    def closed(s_arg, w_arg):
-        return _kernel_ab_derivs(p_exp, 0.5, s_arg, w_arg)
-
-    total = geom(1) * closed(s_partial_product(s, 0, s.K), pt.eta)[0]
-
+    s_all = s_partial_product(s, 0, s.K)
+    total = _geom(s, 1) * _kernel_ab_derivs(p_exp, s_all, pt.eta)[0]
     if n_max >= 1:
         grid = _require_grid(grid, lam, n_max)
-        s_eff = s_partial_product(s, 1, s.K)
-        t1, u1, w1 = _level_mesh(grid.levels[0])
-        ker = _kernel_level(lam, 1, s_eff, t1, u1, pt.eta)
-        wt = _w_tilde_vals(s_eff, t1, u1, pt.eta)
-        f, fp, fpp = closed(s[0], wt)
-        acted = _op_closed(params, lam / 2, 2, f, fp, fpp, wt)
-        total += pt.mu * geom(2) * float(np.sum(w1 * ker * acted))
-
-    if n_max >= 2:
-        s_eff2 = s_partial_product(s, 2, s.K)
-        t2, u2, w2 = _level_mesh(grid.levels[1])
-        ker2 = _kernel_level(lam, 2, s_eff2, t2, u2, pt.eta)
-        wt22 = _w_tilde_vals(s_eff2, t2, u2, pt.eta)
-        t1, u1, w1 = _level_mesh(grid.levels[0])
-        m_x = 48
-        r_f = max(4 * float(np.max(np.abs(wt22))), 0.02)
-        xs = r_f * np.exp(2j * np.pi * np.arange(m_x) / m_x)
-        g_vals = np.empty(m_x, dtype=complex)
-        for ix, x in enumerate(xs):
-            ker1 = _kernel_level(lam, 1, s[1], t1, u1, x)
-            wt12 = _w_tilde_vals(s[1], t1, u1, x)
-            f, fp, fpp = closed(s[0], wt12)
-            acted = _op_closed(params, lam / 2, 2, f, fp, fpp, wt12)
-            g_vals[ix] = np.sum(w1 * ker1 * acted)
-        taylor = (np.fft.fft(g_vals) / (m_x * r_f ** np.arange(m_x))).real
-        mult2 = diag_operator_multipliers(params, (1 + lam) / 2, 2, m_x - 1)
-        g_op = np.polyval((taylor * mult2)[::-1], wt22)
-        total += pt.mu**2 * geom(3) * float(np.sum(w2 * ker2 * g_op))
-
+    for n in range(1, n_max + 1):
+        total += pt.mu**n * _geom(s, n + 1) * _closed_levels(
+            params, lam, s, grid, pt.eta, acted, n, 2
+        )
     return prefactor * total

@@ -218,14 +218,20 @@ def w_tilde(level_i, level_j, s_eff, t, u, x):
     """
     if s_eff == 0 or t == 0 or u == 0 or x == 0:
         return WChainValue(0.0, level_i, level_j)
-    xt = x * (1 - t) * (1 - u)
-    if abs(1 - xt) < _TINY:
+    if abs(1 - x * (1 - t) * (1 - u)) < _TINY:
         raise SingularValueError("kernel denominator vanished in the closed chain")
+    return WChainValue(_w_tilde_vals(s_eff, t, u, x), level_i, level_j)
+
+
+def _w_tilde_vals(s_eff, t, u, x):
+    """Closed chained variable, vectorized over Gauss-Jacobi meshes t, u."""
+    if s_eff == 0:
+        return np.zeros(np.broadcast(t, u).shape)
+    xt = x * (1 - t) * (1 - u)
     rad = s_eff * s_eff - 2 * (1 - 2 * xt) * s_eff + 1
     root = _principal_sqrt(rad)
     num = 1 + (s_eff + 2 * xt) * s_eff - (1 + s_eff) * root
-    val = x * t * u * num / (2 * (1 - xt) ** 2 * s_eff)
-    return WChainValue(val, level_i, level_j)
+    return x * t * u * num / (2 * (1 - xt) ** 2 * s_eff)
 
 
 def contour_integral(f, m, radius=1.0):

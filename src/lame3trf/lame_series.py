@@ -66,6 +66,10 @@ class LameParams:
     def __post_init__(self):
         if not 0 < self.rho < 1:
             raise InvalidParameterError(f"modulus must satisfy 0 < rho < 1, got {self.rho}")
+        if not (np.isfinite(self.alpha) and np.isfinite(self.h)):
+            raise InvalidParameterError(
+                f"alpha and h must be finite, got alpha={self.alpha}, h={self.h}"
+            )
 
 
 @dataclass(frozen=True)
@@ -121,6 +125,8 @@ class EvaluationPoint:
     z: float | None = None
 
     def __post_init__(self):
+        if not np.isfinite(self.xi):
+            raise InvalidParameterError(f"xi must be finite, got {self.xi}")
         scale = max(1.0, self.mu * self.mu)
         if abs(self.eta - self.mu * self.xi) > 1e-12 * scale:
             raise InvalidParameterError(

@@ -237,6 +237,8 @@ def jacobi_sn_cn_dn(z, rho):
     """
     if not 0 <= rho <= 1:
         raise InvalidParameterError(f"modulus must lie in [0, 1], got {rho}")
+    if not math.isfinite(z):
+        raise InvalidParameterError(f"argument must be finite, got {z}")
     if rho == 0:
         return math.sin(z), math.cos(z), 1.0
     if rho == 1:

@@ -4,6 +4,7 @@ codes, config precedence, sweeps, and byte-level determinism."""
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -191,6 +192,25 @@ def test_bad_s_magnitude_exits_2(capsys):
 
 def test_mismatched_k_exits_2(capsys):
     assert run_cli("verify", "gf-order0", "--s", "0.3,0.2,0.1", "--K", "3") == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval-series", "--xi", "nan"),
+    ("eval-series", "--xi", "inf"),
+    ("eval-series", "--alpha", "nan"),
+    ("eval-series", "--h", "inf"),
+    ("eval-sn", "--z", "nan"),
+    ("eval-sn", "--z", "inf"),
+    ("verify", "gf-order0", "--xi", "nan"),
+    ("verify", "ode", "--h", "nan"),
+])
+def test_non_finite_input_exits_2(argv, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be finite" in captured.err
 
 
 def test_bad_config_key_exits_2(tmp_path, capsys):

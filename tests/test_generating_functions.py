@@ -255,23 +255,6 @@ def test_gf_lhs_order_exceeding_k_rejected():
         gf_lhs_order(STD, 0.0, w, PT, 2)
 
 
-def test_chain_free_differs_from_nested():
-    w = GFWeights(0.75, S_STD, 30, 2)
-    nested = gf_lhs_order(STD, 0.0, w, PT, 0)
-    free = gf_lhs_order(STD, 0.0, w, PT, 0, chain_free=True)
-    assert nested != free
-    # independent sums factor into plain geometric products
-    s0, s1, s2 = S_STD.values
-    g1 = sum(s1**b for b in range(31))
-    g2 = sum(s2**b for b in range(31))
-    total = 0.0
-    gw = 1.0
-    for a0 in range(31):
-        total += gw * s0**a0 * gauss_2f1(-float(a0), a0 + 0.25, 0.75, PT.eta)
-        gw *= (0.75 + a0) / (a0 + 1)
-    assert free == pytest.approx(total * g1 * g2, rel=1e-12)
-
-
 # ------------------------------------------------------------- gf_rhs_order
 
 def test_gf_rhs_order0_matches_lhs():
