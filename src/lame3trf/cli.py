@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import sys
 import warnings
 from dataclasses import dataclass, field, replace
@@ -279,6 +280,10 @@ def _validate(cfg):
             setattr(cfg, name, int(value))
     if cfg.n_max < 0:
         raise UsageError("nmax must be nonnegative")
+    for name in ("gamma", "tol"):
+        value = getattr(cfg, name)
+        if value is not None and not math.isfinite(value):
+            raise UsageError(f"--{name} must be finite, got {value}")
     if cfg.tol is not None and not cfg.tol > 0:
         raise UsageError("--tol must be positive")
     try:

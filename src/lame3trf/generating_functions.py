@@ -16,7 +16,6 @@ quadrature accuracy.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +26,7 @@ from .integral_forms import (
     AlphaChain,
     SParameters,
     _f21_terminating,
+    _jacobi_rows,
     _w_tilde_vals,
     base_series_coefficients,
     diag_operator_multipliers,
@@ -63,6 +63,8 @@ class GFWeights:
     K: int
 
     def __post_init__(self):
+        if not np.isfinite(self.gamma):
+            raise InvalidParameterError(f"gamma must be finite, got {self.gamma}")
         if not self.gamma > 0:
             raise InvalidParameterError(f"gamma must be positive, got {self.gamma}")
         if self.A_max < 1:
@@ -238,22 +240,40 @@ def _trailing_table(s, order_n, a_max):
     return table
 
 
-def _ups_op_coeffs(lam, gamma, s0, a_max, multipliers):
-    """Coefficients of the operator-acted bottom series in chained powers."""
-    gw = _gw_weights(gamma, a_max)
-    coeffs = np.zeros(a_max + 1)
+def _weighted_kappa(lam, gw, s0, a_max):
+    """Rows (gamma)_a0/a0! s0^a0 kappa_a0 of the bottom series, zero-padded.
+
+    Rows whose weight vanishes (s0 = 0, a0 > 0) stay zero and kappa is not built.
+    """
+    table = np.zeros((a_max + 1, a_max + 1))
     for a0 in range(a_max + 1):
-        kap = base_series_coefficients(a0, lam)
-        coeffs[: a0 + 1] += gw[a0] * s0**a0 * kap
-        if s0 == 0:
-            break
-    return coeffs * multipliers
+        wa0 = gw[a0] * s0**a0
+        if wa0 == 0 and a0 > 0:
+            continue
+        table[a0, : a0 + 1] = wa0 * base_series_coefficients(a0, lam)
+    return table
 
 
-def _lhs_with_tail(params, lam, weights, pt, order_n, grid, op_power):
-    lam = lam_value(lam)
+def _powers(x, n):
+    """Stacked x^0..x^(n-1) by running products."""
+    out = np.empty((n,) + np.shape(x), dtype=np.result_type(x, float))
+    out[0] = 1.0
+    if n > 1:
+        out[1:] = x
+        np.cumprod(out[1:], axis=0, out=out[1:])
+    return out
+
+
+def _check_order(weights, order_n):
+    if order_n not in (0, 1, 2):
+        raise InvalidParameterError(f"order must be 0, 1, or 2, got {order_n}")
     if order_n > weights.K:
         raise InvalidParameterError(f"order {order_n} exceeds chain length K={weights.K}")
+
+
+def _lhs_value(params, lam, weights, pt, order_n, grid, op_power):
+    lam = lam_value(lam)
+    _check_order(weights, order_n)
     s = weights.s
     a_max = weights.A_max
     gw = _gw_weights(weights.gamma, a_max)
@@ -261,85 +281,126 @@ def _lhs_with_tail(params, lam, weights, pt, order_n, grid, op_power):
 
     if order_n == 0:
         total = 0.0
-        last = 0.0
         for a0 in range(a_max + 1):
             kap = base_series_coefficients(a0, lam)
             y0 = pt.xi**lam * float(np.polyval(kap[::-1], pt.eta))
-            term = gw[a0] * s[0] ** a0 * trailing[a0] * y0
-            total += term
-            if a0 == a_max:
-                last = abs(term)
+            total += gw[a0] * s[0] ** a0 * trailing[a0] * y0
             if s[0] == 0:
                 break
-        return total, last * a_max
+        return total
 
     grid = _require_grid(grid, lam, order_n)
+    if order_n == 2:
+        return _lhs_order2(params, lam, weights, pt, grid, op_power, gw, trailing)
 
-    if order_n == 1:
-        t, u, w = _level_mesh(grid.levels[0])
-        tbar = (1 - t) * (1 - u)
-        tu_eta = t * u * pt.eta
-        big_x = pt.eta * tbar
-        mult = diag_operator_multipliers(params, lam / 2, op_power, a_max)
-        suffix = [None] * (a_max + 1)
-        acc = np.zeros(t.shape)
-        last = 0.0
-        for a0 in range(a_max, -1, -1):
-            for i in range(a0 + 1):
-                row = (
-                    s[1] ** a0
-                    * trailing[a0]
-                    * _f21_terminating(a0 - i, 1.25 + lam + a0 + i, big_x)
-                )
-                suffix[i] = row if suffix[i] is None else suffix[i] + row
-            if s[0] == 0 and a0 > 0:
-                continue
-            kap = base_series_coefficients(a0, lam)
-            inner = np.zeros(t.shape)
-            for i in range(a0 + 1):
-                inner += kap[i] * mult[i] * tu_eta**i * suffix[i]
-            acc += gw[a0] * s[0] ** a0 * inner
-            if a0 == a_max:
-                last = gw[a0] * abs(s[0]) ** a0 * abs(np.sum(w * inner))
-        value = pt.mu * pt.xi**lam * float(np.sum(w * acc))
-        return value, abs(pt.mu) * pt.xi**lam * last * a_max
-
-    # order 2: brute nested chain sum over the closed integral terms
+    # order 1 with the alpha_0 sum taken first:
+    # sum_i mult_i sum_mesh w (t u eta)^i sum_{a1 >= i} s1^a1 trailing_a1 C[a1, i] F_{a1,i},
+    # C[a1, i] = sum_{i <= a0 <= a1} (gamma)_a0/a0! s0^a0 kappa_{a0,i} and
+    # F_{a1,i} = F(a1 - i, 5/4 + lam + a1 + i; X), one Jacobi recurrence per i
+    t, u, w = _level_mesh(grid.levels[0])
+    big_x = pt.eta * ((1 - t) * (1 - u))
+    w_tu = w * _powers(t * u * pt.eta, a_max + 1)
+    mult = diag_operator_multipliers(params, lam / 2, op_power, a_max)
+    chain = s[1] ** np.arange(a_max + 1) * trailing
+    c_tab = np.cumsum(_weighted_kappa(lam, gw, s[0], a_max), axis=0) * chain[:, None]
     total = 0.0
-    last = 0.0
-    for a0 in range(a_max + 1):
-        wa0 = gw[a0] * s[0] ** a0
-        if wa0 == 0 and a0 > 0:
+    for i in range(a_max + 1):
+        rows = _jacobi_rows(a_max - i, 2 * i + 0.25 + lam, big_x)
+        total += mult[i] * float(c_tab[i:, i] @ np.sum(w_tu[i] * rows, axis=(1, 2)))
+    return pt.mu * pt.xi**lam * total
+
+
+def _lhs_order2(params, lam, weights, pt, grid, op_power, gw, trailing):
+    """Order-2 left side from level tables; the level-1 step runs once per (a0, a1).
+
+    Level 2 is linear in the level-1 Taylor coefficients G_{a0,a1}, so the a2
+    sum folds into S2[a1, i] = sum_{a2 >= a1} s2^a2 trailing_a2
+    sum_mesh w (t u eta)^i F(a2 - i, 9/4 + lam + a2 + i; eta tbar).
+    """
+    s = weights.s
+    a_max = weights.A_max
+    mult1 = diag_operator_multipliers(params, lam / 2, op_power, a_max)
+    mult2 = diag_operator_multipliers(params, (1 + lam) / 2, op_power, a_max)
+
+    t, u, w = _level_mesh(grid.levels[1])
+    big_x = pt.eta * ((1 - t) * (1 - u))
+    w_tu = w * _powers(t * u * pt.eta, a_max + 1)
+    level2 = np.zeros((a_max + 1, a_max + 1))
+    for i in range(a_max + 1):
+        rows = _jacobi_rows(a_max - i, 2 * i + 1.25 + lam, big_x)
+        level2[i:, i] = np.sum(w_tu[i] * rows, axis=(1, 2))
+    level2 *= (s[2] ** np.arange(a_max + 1) * trailing)[:, None]
+    s2_tab = np.cumsum(level2[::-1], axis=0)[::-1]
+
+    # level 1 at the a1 + 1 FFT nodes x_k: M[k, i] = x_k^i sum_mesh w (t u)^i
+    # F(a1 - i, 5/4 + lam + a1 + i; x_k tbar), shared by every a0 <= a1
+    t, u, w = _level_mesh(grid.levels[0])
+    tbar = (1 - t) * (1 - u)
+    w_tu = w * _powers(t * u, a_max + 1)
+    kappa = _weighted_kappa(lam, gw, s[0], a_max) * mult1
+    total = 0.0
+    for a1 in range(a_max + 1):
+        wa1 = s[1] ** a1
+        if wa1 == 0 and a1 > 0:
             continue
-        for a1 in range(a0, a_max + 1):
-            wa1 = wa0 * s[1] ** a1
-            if wa1 == 0 and a1 > 0:
+        n_x = a1 + 1
+        xs = 0.8 * np.exp(2j * np.pi * np.arange(n_x) / n_x)
+        big_x = xs[:, None, None] * tbar
+        m_tab = np.empty((n_x, n_x), dtype=complex)
+        for i in range(n_x):
+            block = _f21_terminating(a1 - i, 1.25 + lam + a1 + i, big_x)
+            m_tab[:, i] = xs**i * np.sum(w_tu[i] * block, axis=(1, 2))
+        scale = n_x * 0.8 ** np.arange(n_x)
+        level2_row = mult2[:n_x] * s2_tab[a1, :n_x]
+        for a0 in range(n_x):
+            if not kappa[a0].any():
                 continue
-            for a2 in range(a1, a_max + 1):
-                wa2 = wa1 * s[2] ** a2 * trailing[a2]
-                if wa2 == 0 and a2 > 0:
-                    continue
-                term = wa2 * y_n_term_closed(
-                    params, lam, 2, AlphaChain((a0, a1, a2)), pt, grid, op_power
-                )
-                total += term
-                if a0 == a_max and a1 == a_max and a2 == a_max:
-                    last = abs(term)
-    return total, last * a_max
+            taylor = (np.fft.fft(m_tab[:, : a0 + 1] @ kappa[a0, : a0 + 1]) / scale).real
+            total += wa1 * float(taylor @ level2_row)
+    return pt.mu**2 * pt.xi**lam * total
+
+
+def _lhs_tail(params, lam, weights, pt, order_n, grid, op_power):
+    """Truncation estimate: A_max times the size of the all-A_max chain term."""
+    s = weights.s
+    a_max = weights.A_max
+    gw_last = _gw_weights(weights.gamma, a_max)[a_max]
+    trailing = _trailing_table(s, order_n, a_max)[a_max]
+    if order_n != 1:
+        weight = gw_last
+        for k in range(order_n + 1):
+            weight *= s[k] ** a_max
+        weight *= trailing
+        if weight == 0:
+            return 0.0
+        chain = AlphaChain((a_max,) * (order_n + 1))
+        return abs(weight * y_n_term_closed(params, lam, order_n, chain, pt, grid, op_power)) * a_max
+
+    # order 1 keeps the summation order the reported estimate has always had
+    if s[0] == 0:
+        return 0.0
+    t, u, w = _level_mesh(grid.levels[0])
+    big_x = pt.eta * ((1 - t) * (1 - u))
+    tu_eta = t * u * pt.eta
+    mult = diag_operator_multipliers(params, lam / 2, op_power, a_max)
+    kap = base_series_coefficients(a_max, lam)
+    inner = np.zeros(t.shape)
+    for i in range(a_max + 1):
+        block = _f21_terminating(a_max - i, 1.25 + lam + a_max + i, big_x)
+        inner += kap[i] * mult[i] * tu_eta**i * (s[1] ** a_max * trailing * block)
+    last = gw_last * abs(s[0]) ** a_max * abs(np.sum(w * inner))
+    return abs(pt.mu) * pt.xi**lam * last * a_max
 
 
 def gf_lhs_order(params, lam, weights, pt, order_n, grid=None, op_power=2):
     """Weight operator applied to the order-n terms of the series solution."""
-    return _lhs_with_tail(params, lam, weights, pt, order_n, grid, op_power)[0]
+    return _lhs_value(params, lam, weights, pt, order_n, grid, op_power)
 
 
 def gf_rhs_order(params, lam, weights, pt, order_n, grid=None, op_power=2):
     """Closed-form right-hand side of the order-n generating identity."""
     lam = lam_value(lam)
-    if order_n not in (0, 1, 2):
-        raise InvalidParameterError(f"order must be 0, 1, or 2, got {order_n}")
-    if order_n > weights.K:
-        raise InvalidParameterError(f"order {order_n} exceeds chain length K={weights.K}")
+    _check_order(weights, order_n)
     s = weights.s
     a_max = weights.A_max
     prefactor = _geom(s, order_n + 1)
@@ -350,7 +411,9 @@ def gf_rhs_order(params, lam, weights, pt, order_n, grid=None, op_power=2):
 
     grid = _require_grid(grid, lam, order_n)
     mult = diag_operator_multipliers(params, lam / 2, op_power, a_max)
-    coeffs = _ups_op_coeffs(lam, weights.gamma, s[0], a_max, mult)[::-1]
+    # operator-acted bottom series, in powers of the chained variable
+    gw = _gw_weights(weights.gamma, a_max)
+    coeffs = (_weighted_kappa(lam, gw, s[0], a_max).sum(axis=0) * mult)[::-1]
     total = _closed_levels(params, lam, s, grid, pt.eta,
                            lambda wt: np.polyval(coeffs, wt), order_n, op_power)
     return pt.mu**order_n * pt.xi**lam * prefactor * total
@@ -361,8 +424,12 @@ def gf_order1_origin_residue(params, lam, weights, pt, grid=None, op_power=2):
 
     Adding this to the order-1 right-hand side restores equality with the
     left-hand side: per (alpha_0, i) the resummed contour integrand keeps a
-    pole of order alpha_0 - i at the origin whose residue is the coefficient
-    of v^(alpha_0-i-1) in (v-1)^(alpha_0-i) (1-Xv)^(-c) / (S+(1-S)v-Xv^2).
+    pole of order n = alpha_0 - i at the origin whose residue is the coefficient
+    of v^(n-1) in (v-1)^n (1-Xv)^(-c) D(v), D(v) = 1/(S+(1-S)v-Xv^2).
+
+    The weight S^alpha_0 is carried into the scaled series D^(v) = S D(S v)
+    and q_n(v) = (S v - 1)^n D^(v), so the term is
+    S^i sum_k (c)_k/k! (S X)^k q_{n, n-1-k}, with no negative power of S.
     """
     lam = lam_value(lam)
     s = weights.s
@@ -372,47 +439,45 @@ def gf_order1_origin_residue(params, lam, weights, pt, grid=None, op_power=2):
     prefactor = _geom(s, 2)
     gw = _gw_weights(weights.gamma, a_max)
     mult = diag_operator_multipliers(params, lam / 2, op_power, a_max)
+    kappa = _weighted_kappa(lam, gw, s[0], a_max) * mult
 
     t, u, w = _level_mesh(grid.levels[0])
-    big_x = pt.eta * (1 - t) * (1 - u)
-    tu_eta = t * u * pt.eta
+    big_x = (pt.eta * (1 - t) * (1 - u)).ravel()
+    w_tu = w.ravel() * _powers((t * u * pt.eta).ravel(), a_max)
+    sx_pow = _powers(s_eff * big_x, a_max)
+    k = np.arange(a_max)
 
-    # power series of 1/(S + (1-S)v - X v^2) in v, term by term on the mesh
-    def den_series(k_top):
-        d = [np.full(t.shape, 1.0 / s_eff)]
-        if k_top >= 1:
-            d.append(-(1 - s_eff) * d[0] / s_eff)
-        for k in range(2, k_top + 1):
-            d.append(-((1 - s_eff) * d[k - 1] - big_x * d[k - 2]) / s_eff)
-        return d
+    # q_0 = D^: coefficients of 1/(1 + (1-S)v - S X v^2), up to v^(a_max-1)
+    q = np.empty((a_max, big_x.size))
+    q[0] = 1.0
+    if a_max > 1:
+        q[1] = -(1 - s_eff)
+    for l in range(2, a_max):
+        q[l] = -((1 - s_eff) * q[l - 1] - s_eff * big_x * q[l - 2])
 
+    # step n: q <- (S v - 1) q, then for every alpha_0 = n + i the mesh sums of
+    # w (t u eta)^i (S X)^k q_{n, n-1-k}, weighted by (c)_k/k!, c = 1/4 + lam + n + 2i
     total = 0.0
-    for a0 in range(a_max + 1):
-        wa0 = gw[a0] * s[0] ** a0
-        if wa0 == 0 and a0 > 0:
-            continue
-        kap = base_series_coefficients(a0, lam)
-        for i in range(a0):  # i = a0 has no origin pole
-            n_pole = a0 - i
-            c = 0.25 + lam + a0 + i
-            d = den_series(n_pole - 1)
-            p = [np.ones(t.shape)]
-            for k in range(1, n_pole):
-                p.append(p[k - 1] * (c + k - 1) / k * big_x)
-            coeff = np.zeros(t.shape)
-            for j in range(n_pole + 1):
-                b = math.comb(n_pole, j) * (-1.0) ** (n_pole - j)
-                for k in range(n_pole - j):
-                    l = n_pole - 1 - j - k
-                    coeff += b * p[k] * d[l]
-            node = s_eff**a0 * coeff
-            total += wa0 * kap[i] * mult[i] * float(np.sum(w * tu_eta**i * node))
+    for n in range(1, a_max + 1):
+        q[1:] = s_eff * q[:-1] - q[1:]
+        q[0] = -q[0]
+        i = np.arange(a_max - n + 1)
+        ratios = np.ones((len(i), n))
+        ratios[:, 1:] = (0.25 + lam + n + 2 * i[:, None] + k[: n - 1]) / k[1:n]
+        sums = (sx_pow[:n] * q[n - 1 :: -1]) @ w_tu[: len(i)].T
+        nodes = np.einsum("ik,ki->i", np.cumprod(ratios, axis=1), sums)
+        total += float(np.sum(kappa[n + i, i] * s_eff**i * nodes))
     return pt.mu * pt.xi**lam * prefactor * total
 
 
 def gf_verify_order(params, lam, weights, pt, order_n, grid=None, op_power=2):
     """Compute both sides of the order-n identity and report the gap."""
-    lhs, tail = _lhs_with_tail(params, lam, weights, pt, order_n, grid, op_power)
+    lam = lam_value(lam)
+    _check_order(weights, order_n)
+    if order_n >= 1:
+        grid = _require_grid(grid, lam, order_n)
+    lhs = _lhs_value(params, lam, weights, pt, order_n, grid, op_power)
+    tail = _lhs_tail(params, lam, weights, pt, order_n, grid, op_power)
     rhs = gf_rhs_order(params, lam, weights, pt, order_n, grid, op_power)
     return GFOrderReport(
         order_n=order_n,

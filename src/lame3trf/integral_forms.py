@@ -343,6 +343,26 @@ def _f21_terminating(n_top, c, x):
     return acc
 
 
+def _jacobi_rows(m_top, beta, x):
+    """Rows _f21_terminating(m, m + beta + 1, x) for m = 0..m_top, stacked.
+
+    Row m is the Jacobi polynomial P_m^(0, beta)(1 - 2x); all rows come from
+    the three-term recurrence in m (DLMF 18.9.2 with alpha = 0).
+    """
+    rows = np.empty((m_top + 1,) + np.shape(x), dtype=np.result_type(x, float))
+    rows[0] = 1.0
+    if m_top >= 1:
+        rows[1] = 1 - (beta + 2) * x
+    for m in range(2, m_top + 1):
+        s = 2 * m + beta
+        den = 2 * m * (m + beta) * (s - 2)
+        lead = (s - 1) * s * (s - 2) / den
+        shift = (s - 1) * beta * beta / den
+        back = 2 * (m - 1) * (m + beta - 1) * s / den
+        rows[m] = (lead - shift - 2 * lead * x) * rows[m - 1] - back * rows[m - 2]
+    return rows
+
+
 def _contour_f21(n_top, c, x_arr, vnodes):
     """Contour-quadrature twin of _f21_terminating via the folded integrand."""
     flat = x_arr.ravel()[:, None]

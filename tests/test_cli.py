@@ -203,6 +203,8 @@ def test_mismatched_k_exits_2(capsys):
     ("eval-sn", "--z", "inf"),
     ("verify", "gf-order0", "--xi", "nan"),
     ("verify", "ode", "--h", "nan"),
+    ("verify", "gf-order0", "--gamma", "inf"),
+    ("verify", "gf-order0", "--tol", "inf"),
 ])
 def test_non_finite_input_exits_2(argv, capsys):
     with warnings.catch_warnings():

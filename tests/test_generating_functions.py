@@ -13,9 +13,13 @@ from lame3trf.scalar_kernels import (
     pochhammer,
 )
 from lame3trf.lame_series import EvaluationPoint, LameParams
+from lame3trf import generating_functions
 from lame3trf.integral_forms import (
     AlphaChain,
     SParameters,
+    _f21_terminating,
+    base_series_coefficients,
+    diag_operator_multipliers,
     make_quadrature_grid,
     s_partial_product,
     y_n_term_closed,
@@ -51,6 +55,180 @@ def weighted_sum_oracle(gamma, s, x, a_max, lam):
     return total
 
 
+# ------------------------------------------ reference sums (earlier formulas)
+#
+# The chain sums as they were first written: a brute-force order-1 loop, the
+# origin residue by a double loop over binomial and series terms, and the
+# order-2 left side chain by chain through y_n_term_closed.  They are slow but
+# share no table, recurrence or reordering with the library's level tables.
+
+def ref_chain_weights(gamma, a_max):
+    """Pochhammer weights (gamma)_a/a! for a = 0..a_max, as a plain list."""
+    gw = [1.0]
+    for a in range(a_max):
+        gw.append(gw[-1] * (gamma + a) / (a + 1))
+    return gw
+
+
+def ref_trailing(s, order_n, a_max):
+    """Trailing geometric sums over s_(order_n+1)..s_K, as a plain list."""
+    table = [1.0] * (a_max + 1)
+    for m in range(s.K, order_n, -1):
+        table = [sum(s[m] ** b * table[b] for b in range(a, a_max + 1))
+                 for a in range(a_max + 1)]
+    return table
+
+
+def ref_mesh(rule):
+    t, u = np.meshgrid(rule.t_nodes, rule.u_nodes, indexing="ij")
+    return t, u, np.outer(rule.t_weights, rule.u_weights)
+
+
+def ref_lhs_order1(params, lam, weights, pt, grid, op_power):
+    """Order-1 left side: suffix sums over alpha_1, one 2F1 block per (a0, i)."""
+    s, a_max = weights.s, weights.A_max
+    gw = ref_chain_weights(weights.gamma, a_max)
+    trailing = ref_trailing(s, 1, a_max)
+    t, u, w = ref_mesh(grid.levels[0])
+    big_x = pt.eta * ((1 - t) * (1 - u))
+    tu_eta = t * u * pt.eta
+    mult = diag_operator_multipliers(params, lam / 2, op_power, a_max)
+    suffix = [None] * (a_max + 1)
+    acc = np.zeros(t.shape)
+    for a0 in range(a_max, -1, -1):
+        for i in range(a0 + 1):
+            row = s[1] ** a0 * trailing[a0] * _f21_terminating(
+                a0 - i, 1.25 + lam + a0 + i, big_x
+            )
+            suffix[i] = row if suffix[i] is None else suffix[i] + row
+        if s[0] == 0 and a0 > 0:
+            continue
+        kap = base_series_coefficients(a0, lam)
+        inner = np.zeros(t.shape)
+        for i in range(a0 + 1):
+            inner += kap[i] * mult[i] * tu_eta**i * suffix[i]
+        acc += gw[a0] * s[0] ** a0 * inner
+    return pt.mu * pt.xi**lam * float(np.sum(w * acc))
+
+
+def ref_origin_residue(params, lam, weights, pt, grid, op_power):
+    """Order-1 origin residue: coefficient of v^(n-1) by a double (j, k) loop."""
+    s, a_max = weights.s, weights.A_max
+    s_eff = s_partial_product(s, 1, s.K)
+    prefactor = 1.0
+    for k in range(2, s.K + 1):
+        prefactor /= 1 - s_partial_product(s, k, s.K)
+    gw = ref_chain_weights(weights.gamma, a_max)
+    mult = diag_operator_multipliers(params, lam / 2, op_power, a_max)
+    t, u, w = ref_mesh(grid.levels[0])
+    big_x = pt.eta * (1 - t) * (1 - u)
+    tu_eta = t * u * pt.eta
+
+    def den_series(k_top):  # 1/(S + (1-S)v - X v^2) in powers of v
+        d = [np.full(t.shape, 1.0 / s_eff)]
+        if k_top >= 1:
+            d.append(-(1 - s_eff) * d[0] / s_eff)
+        for k in range(2, k_top + 1):
+            d.append(-((1 - s_eff) * d[k - 1] - big_x * d[k - 2]) / s_eff)
+        return d
+
+    total = 0.0
+    for a0 in range(a_max + 1):
+        wa0 = gw[a0] * s[0] ** a0
+        if wa0 == 0 and a0 > 0:
+            continue
+        kap = base_series_coefficients(a0, lam)
+        for i in range(a0):
+            n_pole = a0 - i
+            c = 0.25 + lam + a0 + i
+            d = den_series(n_pole - 1)
+            p = [np.ones(t.shape)]
+            for k in range(1, n_pole):
+                p.append(p[k - 1] * (c + k - 1) / k * big_x)
+            coeff = np.zeros(t.shape)
+            for j in range(n_pole + 1):
+                b = math.comb(n_pole, j) * (-1.0) ** (n_pole - j)
+                for k in range(n_pole - j):
+                    coeff += b * p[k] * d[n_pole - 1 - j - k]
+            node = s_eff**a0 * coeff
+            total += wa0 * kap[i] * mult[i] * float(np.sum(w * tu_eta**i * node))
+    return pt.mu * pt.xi**lam * prefactor * total
+
+
+def ref_lhs_order2(params, lam, weights, pt, grid, op_power):
+    """Order-2 left side chain by chain over a0 <= a1 <= a2."""
+    s, a_max = weights.s, weights.A_max
+    gw = ref_chain_weights(weights.gamma, a_max)
+    trailing = ref_trailing(s, 2, a_max)
+    total = 0.0
+    for a0 in range(a_max + 1):
+        for a1 in range(a0, a_max + 1):
+            for a2 in range(a1, a_max + 1):
+                weight = gw[a0] * s[0] ** a0 * s[1] ** a1 * s[2] ** a2 * trailing[a2]
+                if weight != 0:
+                    total += weight * y_n_term_closed(
+                        params, lam, 2, AlphaChain((a0, a1, a2)), pt, grid, op_power
+                    )
+    return total
+
+
+REF_CASES = [
+    (lam, opp, a_max, s)
+    for lam in (0.0, 0.5)
+    for opp in (1, 2)
+    for a_max in (1, 2, 7, 18)
+    for s in ((0.3, 0.2, 0.1), (0.0, 0.2, 0.1))
+]
+
+
+def _ref_args(lam, a_max, s, n_levels, nodes):
+    weights = GFWeights(lam + 0.75, SParameters(s + (0.05,)), a_max, 3)
+    pt = EvaluationPoint.from_xi(0.2, rho=0.6)
+    return weights, pt, make_quadrature_grid(lam, n_levels, nodes=nodes, contour_m=256)
+
+
+@pytest.mark.parametrize("lam,opp,a_max,s", REF_CASES)
+def test_order1_tables_match_reference_sums(lam, opp, a_max, s):
+    weights, pt, grid = _ref_args(lam, a_max, s, 1, 24)
+    lhs = gf_lhs_order(STD, lam, weights, pt, 1, grid=grid, op_power=opp)
+    assert lhs == pytest.approx(
+        ref_lhs_order1(STD, lam, weights, pt, grid, opp), rel=1e-12, abs=1e-300
+    )
+    fix = gf_order1_origin_residue(STD, lam, weights, pt, grid, opp)
+    assert fix == pytest.approx(
+        ref_origin_residue(STD, lam, weights, pt, grid, opp), rel=1e-12, abs=1e-300
+    )
+
+
+# the chain sum at A_max = 18 takes seconds per case unless s0 = 0 prunes it
+@pytest.mark.parametrize("lam,opp,a_max,s",
+                         [c for c in REF_CASES if c[2] <= 7 or c[3][0] == 0])
+def test_order2_tables_match_chain_sum(lam, opp, a_max, s):
+    weights, pt, grid = _ref_args(lam, a_max, s, 2, 16)
+    lhs = gf_lhs_order(STD, lam, weights, pt, 2, grid=grid, op_power=opp)
+    assert lhs == pytest.approx(
+        ref_lhs_order2(STD, lam, weights, pt, grid, opp), rel=1e-12
+    )
+
+
+def test_order2_lhs_sums_no_chain_terms(monkeypatch):
+    # the level tables replace the 220 chain terms at A_max = 9; only the
+    # truncation estimate of gf_verify_order evaluates one (the all-9 chain)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[3])
+        return y_n_term_closed(*args, **kwargs)
+
+    monkeypatch.setattr(generating_functions, "y_n_term_closed", counted)
+    w = GFWeights(0.75, S_STD, 9, 2)
+    grid = make_quadrature_grid(0.0, 2, nodes=16, contour_m=256)
+    gf_lhs_order(STD, 0.0, w, PT, 2, grid=grid)
+    assert calls == []
+    gf_verify_order(STD, 0.0, w, PT, 2, grid=grid)
+    assert calls == [AlphaChain((9, 9, 9))]
+
+
 # ---------------------------------------------------------------- GFWeights
 
 def test_gfweights_validation():
@@ -61,6 +239,9 @@ def test_gfweights_validation():
         GFWeights(0.75, S_STD, 0, 2)
     with pytest.raises(InvalidParameterError):
         GFWeights(0.75, S_STD, 30, 3)  # K does not match len(s) - 1
+    for gamma in (math.inf, math.nan):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            GFWeights(gamma, S_STD, 30, 2)
 
 
 # ------------------------------------------------------------------ upsilon
@@ -255,6 +436,16 @@ def test_gf_lhs_order_exceeding_k_rejected():
         gf_lhs_order(STD, 0.0, w, PT, 2)
 
 
+@pytest.mark.parametrize("order_n", [3, -1])
+def test_order_outside_0_to_2_rejected(order_n):
+    # K = 3 leaves room for a chain of order 3, which no left side sums
+    w = GFWeights(0.75, SParameters((0.3, 0.2, 0.1, 0.05)), 5, 3)
+    grid = make_quadrature_grid(0.0, 3, nodes=16, contour_m=256)
+    for fn in (gf_lhs_order, gf_verify_order, gf_rhs_order):
+        with pytest.raises(InvalidParameterError, match="order must be 0, 1, or 2"):
+            fn(STD, 0.0, w, PT, order_n, grid)
+
+
 # ------------------------------------------------------------- gf_rhs_order
 
 def test_gf_rhs_order0_matches_lhs():
@@ -283,6 +474,21 @@ def test_gf_order1_corrected_identity():
             rhs = gf_rhs_order(STD, lam, weights, PT, 1, grid, opp)
             fix = gf_order1_origin_residue(STD, lam, weights, PT, grid, opp)
             assert lhs == pytest.approx(rhs + fix, rel=1e-9, abs=1e-12)
+
+
+def test_gf_order1_residue_at_zero_effective_weight():
+    # s1 = 0 makes S = s1 s2 = 0; the scaled series keeps the residue finite,
+    # it closes the identity and joins the s1 -> 0 limit continuously
+    grid = make_quadrature_grid(0.0, 1, nodes=32, contour_m=256)
+    fixes = []
+    for s1 in (0.0, 1e-6):
+        w = GFWeights(0.75, SParameters((0.3, s1, 0.1)), 12, 2)
+        lhs = gf_lhs_order(STD, 0.0, w, PT, 1, grid=grid)
+        rhs = gf_rhs_order(STD, 0.0, w, PT, 1, grid)
+        fixes.append(gf_order1_origin_residue(STD, 0.0, w, PT, grid))
+        assert abs(lhs - rhs - fixes[-1]) < 1e-9
+    assert fixes[0] == pytest.approx(0.01703898, rel=1e-6)
+    assert fixes[0] == pytest.approx(fixes[1], rel=1e-6)
 
 
 def test_gf_order1_as_written_gap_is_large():

@@ -14,6 +14,7 @@ from lame3trf.scalar_kernels import (
 from lame3trf.lame_series import EvaluationPoint, LameParams
 from lame3trf.integral_forms import (
     AlphaChain,
+    _jacobi_rows,
     QuadratureGrid,
     SParameters,
     choose_contour_radius,
@@ -31,6 +32,22 @@ from lame3trf.integral_forms import (
 )
 
 STD = LameParams(rho=0.5, alpha=3.0, h=1.0)
+
+
+# ------------------------------------------------------------ Jacobi rows
+
+def test_jacobi_rows_match_mpmath_hyp2f1():
+    # row m is 2F1(-m, m + beta + 1; 1; x); x spans the real level arguments
+    # (eta tbar < 0), the positive side where the plain series cancels, and
+    # the complex FFT nodes of the order-2 level-1 step; on 0 < x < 1 the
+    # rows oscillate, so the error is taken against max(|row|, 1)
+    mpmath = pytest.importorskip("mpmath")
+    x = np.array([-0.06, -1e-3, 0.05, 0.3, 0.05 * np.exp(2.1j)])
+    for beta in (0.25, 2.75, 17.25):
+        rows = _jacobi_rows(30, beta, x)
+        for m in (0, 1, 2, 7, 30):
+            want = np.array([complex(mpmath.hyp2f1(-m, m + beta + 1, 1, xv)) for xv in x])
+            assert np.all(np.abs(rows[m] - want) <= 1e-14 * np.maximum(np.abs(want), 1))
 
 
 # ------------------------------------------------------------- SParameters
