@@ -229,11 +229,25 @@ def lemma1_identity(gamma, A, w, x, N):
 _LANDEN_CUTOFF = 1e-15
 
 
+def _complete_k(rho):
+    """Complete elliptic integral K at modulus rho in (0, 1), by the AGM.
+
+    K = pi / (2 M(1, sqrt(1 - rho**2))) (DLMF 19.8.1).
+    """
+    a, b = 1.0, math.sqrt(1 - rho * rho)
+    while abs(a - b) > 1e-15 * a:
+        a, b = (a + b) / 2, math.sqrt(a * b)
+    return math.pi / (a + b)
+
+
 def jacobi_sn_cn_dn(z, rho):
     """Jacobi elliptic sn, cn, dn of real z at modulus rho in [0, 1].
 
-    Uses the descending Landen ladder until the modulus falls below 1e-15,
-    evaluates trigonometric values at the bottom, and unwinds.
+    For 0 < rho < 1 an argument beyond 2K is first reduced modulo the real
+    period 4K (DLMF 22.4); once |z| 2**-52 reaches K the reduction leaves no
+    correct digit and the argument is rejected.  Then the descending Landen
+    ladder runs until the modulus falls below 1e-15, evaluates trigonometric
+    values at the bottom, and unwinds.
     """
     if not 0 <= rho <= 1:
         raise InvalidParameterError(f"modulus must lie in [0, 1], got {rho}")
@@ -243,9 +257,17 @@ def jacobi_sn_cn_dn(z, rho):
         return math.sin(z), math.cos(z), 1.0
     if rho == 1:
         t = math.tanh(z)
-        sech = 1.0 / math.cosh(z)
+        # cosh overflows past |z| = 710; there sech = 2 exp(-|z|) to rounding
+        sech = 1.0 / math.cosh(z) if abs(z) < 700 else 2 * math.exp(-abs(z))
         return t, sech, sech
 
+    quarter = _complete_k(rho)
+    if abs(z) > 2 * quarter:
+        if abs(z) * 2.0**-52 >= quarter:
+            raise InvalidParameterError(
+                f"argument {z} is too large to reduce by the period 4K = {4 * quarter}"
+            )
+        z = math.remainder(z, 4 * quarter)
     ks = []
     u = z
     k = rho

@@ -76,6 +76,14 @@ def test_eval_sn_outputs(capsys):
     assert float(rows[0]["xi"]) == pytest.approx(sn * sn, rel=1e-15)
 
 
+def test_eval_sn_large_z_reduced_or_rejected(capsys):
+    assert run_cli("eval-sn", "--z", "1000", "--rho", "0.5") == 0
+    _, row = capsys.readouterr().out.strip().split("\n")
+    sn = float(row.split(",")[2])
+    assert sn == jacobi_sn_cn_dn(1000.0, 0.5)[0]
+    assert run_cli("eval-sn", "--z", "1e300", "--rho", "0.5") == 2
+
+
 def test_eval_sn_requires_z(capsys):
     assert run_cli("eval-sn") == 2
 
@@ -149,6 +157,15 @@ def test_verify_gf_order1_fails_honestly(tmp_path, capsys):
     assert set(report) == REPORT_KEYS
     assert report["pass"] is False
     assert report["gap"] > 1e-3
+
+
+def test_verify_gf_order1_passes_when_both_powers_close(capsys):
+    # at s0 = 0 the origin residue vanishes and the identity closes; both
+    # sides apply the same operator, so it closes at both powers
+    assert run_cli("verify", "gf-order1", "--s", "0,0.2,0.1") == 0
+    line = capsys.readouterr().out
+    assert line.startswith("PASS gf-order1")
+    assert "powers_passing=2 (need both)" in line
 
 
 def test_verify_gf_order2_fails_honestly(capsys):
@@ -317,6 +334,17 @@ def test_repeated_runs_byte_identical(tmp_path, capsys):
         capsys.readouterr()
         assert f1.read_bytes() == f2.read_bytes(), argv
         assert f1.read_bytes()  # non-empty
+
+
+def test_cli_import_leaves_scipy_out():
+    # numpy is the only runtime dependency; scipy is a test-only oracle
+    code = (
+        "import sys, lame3trf.cli\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_console_script_installed():

@@ -2,6 +2,7 @@
 residues, contour quadrature, the diagonal operator, and per-order terms."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -213,6 +214,31 @@ def test_contour_integral_vectorized_integrand():
     assert np.allclose(out, [1.0, 1.0], atol=1e-12)
 
 
+def test_contour_integral_calls_integrand_once_on_node_axis():
+    # f sees the whole node array once; the node axis is the last axis, and
+    # every leading axis is integrated component-wise
+    calls = []
+    poles = np.array([[0.1, 0.4], [2.5, -0.3j]])
+
+    def f(v):
+        calls.append(np.shape(v))
+        return 1 / (v - poles[..., None])
+
+    out = contour_integral(f, 256)
+    assert calls == [(256,)]
+    assert out.shape == (2, 2)
+    assert np.allclose(out, [[1.0, 1.0], [0.0, 1.0]], atol=1e-12)
+
+
+def test_contour_integral_singular_integrand_leaks_no_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularValueError):
+            contour_integral(lambda v: 1 / (v - 1), 128)
+        with pytest.raises(SingularValueError):
+            contour_integral(lambda v: np.exp(1e3 / v), 128)
+
+
 def test_contour_integral_radius():
     # pole at 0.95 escapes radius 0.9 but not 1.0
     got = contour_integral(lambda v: 1 / (v - 0.95), 512, radius=0.9)
@@ -238,6 +264,64 @@ def test_gauss_jacobi_unit_monomials():
         for k in (0, 1, 2, 5):
             got = float(np.sum(w * t**k))
             assert got == pytest.approx(1.0 / (c + k + 1), rel=1e-12)
+
+
+def _grid_exponents():
+    """Every (t, u) exponent make_quadrature_grid uses at levels 1-3."""
+    exps = set()
+    for lam in (0.0, 0.5):
+        for lev in make_quadrature_grid(lam, 3, nodes=16, contour_m=128).levels:
+            exps.update((lev.t_exponent, lev.u_exponent))
+    return sorted(exps)
+
+
+def _mpmath_gauss_jacobi_unit(mpmath, n, c, t0):
+    """40-digit rule on (0, 1) for the weight t**c, polished from nodes t0.
+
+    One Newton step on P_n^(0, c), evaluated by mpmath's hypergeometric
+    jacobi, squares the node error of t0 (about 1e-16).  With a = 0 the
+    weight 2**(c+1) / ((1 - x^2) P_n'(x)^2) on (-1, 1) becomes
+    1 / ((1 - x^2) P_n'(x)^2) on (0, 1).
+    """
+    with mpmath.workdps(40):
+        c = mpmath.mpf(c)
+
+        def dp(x):
+            return (n + c + 1) / 2 * mpmath.jacobi(n - 1, 1, c + 1, x)
+
+        nodes, weights = [], []
+        for t in t0:
+            x = 2 * mpmath.mpf(float(t)) - 1
+            x -= mpmath.jacobi(n, 0, c, x) / dp(x)
+            nodes.append(float((1 + x) / 2))
+            weights.append(1 / ((1 - x * x) * dp(x) ** 2))
+        return np.array(nodes), weights
+
+
+GJ_WEIGHT_RTOL = 1e-12
+
+
+@pytest.mark.parametrize("n", [16, 32, 64, 128])
+def test_gauss_jacobi_unit_matches_mpmath(n):
+    # the numpy Golub-Welsch rule against a 40-digit reference at every
+    # exponent of the level grids, c = 0 included; at n = 128 scipy's
+    # roots_jacobi misses the same tolerance, so the test tells them apart
+    mpmath = pytest.importorskip("mpmath")
+    special = pytest.importorskip("scipy.special")
+    exps = _grid_exponents()
+    assert 0.0 in exps and len(exps) == 7
+    for c in exps:
+        t, w = gauss_jacobi_unit(n, c)
+        ref_t, ref_w = _mpmath_gauss_jacobi_unit(mpmath, n, c, t)
+        rel = max(abs(float((wi - ri) / ri)) for wi, ri in zip(w, ref_w))
+        assert rel < GJ_WEIGHT_RTOL, (n, c, rel)
+        assert np.max(np.abs(t - ref_t)) < 1e-15
+        x_sp, w_sp = special.roots_jacobi(n, 0.0, c)
+        assert np.max(np.abs(t - (1 + x_sp) / 2)) < 1e-15
+        if n == 128:
+            w_sp = w_sp * 2.0 ** (-(c + 1))
+            rel_sp = max(abs(float((wi - ri) / ri)) for wi, ri in zip(w_sp, ref_w))
+            assert rel_sp > GJ_WEIGHT_RTOL, (c, rel_sp)
 
 
 def test_make_quadrature_grid_exponents():

@@ -371,6 +371,33 @@ def test_jacobi_sn_frozen_scipy_values():
         assert jacobi_sn(z, rho) == pytest.approx(want, rel=0, abs=1e-12)
 
 
+@pytest.mark.parametrize("z", [1e3, -1e3, 1e6])
+@pytest.mark.parametrize("rho", [0.2, 0.5, 0.9])
+def test_jacobi_sn_cn_dn_reduced_by_period_matches_mpmath(z, rho):
+    # beyond 2K the argument is reduced modulo 4K; the reduction costs
+    # about |z| 2**-53 in the argument, so the tolerance scales with |z|
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        want = [float(mpmath.ellipfun(f, z, m=rho * rho)) for f in ("sn", "cn", "dn")]
+    got = jacobi_sn_cn_dn(z, rho)
+    assert got == pytest.approx(want, rel=0, abs=8 * abs(z) * 2.0**-52)
+
+
+def test_jacobi_sn_cn_dn_rejects_unreducible_argument():
+    # once |z| 2**-52 reaches K(rho) no digit of the reduced argument is right
+    k_half = 1.6857503548125961  # K(0.5)
+    jacobi_sn_cn_dn(0.99 * k_half * 2.0**52, 0.5)
+    for z in (1.01 * k_half * 2.0**52, -1e300):
+        with pytest.raises(InvalidParameterError):
+            jacobi_sn_cn_dn(z, 0.5)
+    # the trigonometric and hyperbolic limits need no reduction
+    assert jacobi_sn_cn_dn(1e300, 0.0)[0] == math.sin(1e300)
+    assert jacobi_sn_cn_dn(1e300, 1.0) == (1.0, 0.0, 0.0)
+    assert jacobi_sn_cn_dn(-720.0, 1.0) == pytest.approx(
+        (-1.0, 2 * math.exp(-720.0), 2 * math.exp(-720.0)), rel=1e-15
+    )
+
+
 def test_jacobi_sn_cn_dn_identities():
     rng = np.random.default_rng(31)
     for _ in range(20):
