@@ -2,10 +2,13 @@
 
 The left-hand side applies the weight operator (a Pochhammer-weighted sum
 over alpha_0 and nested geometric sums over alpha_1..alpha_K) to the
-per-order terms of the series solution.  The right-hand side is the closed
-form obtained by resumming each level's geometric sum under the contour
-integral and keeping the interior-pole residue: per level a radical kernel
-evaluated at the effective weight, chained through the closed w-substitution.
+per-order terms of the series solution.  It is summed level by level: the
+exact Beta-sum level map of integral_forms acts on prefix sums over the
+level below, so no chain is visited and no quadrature is taken.  The
+right-hand side is the closed form obtained by resumming each level's
+geometric sum under the contour integral and keeping the interior-pole
+residue: per level a radical kernel evaluated at the effective weight,
+chained through the closed w-substitution, on Gauss-Jacobi meshes.
 
 The closed-form reduction drops the residues at the contour origin that the
 off-diagonal terms (inner power below alpha_0) acquire, so the as-written
@@ -25,8 +28,7 @@ from .lame_series import lam_value
 from .integral_forms import (
     AlphaChain,
     SParameters,
-    _f21_terminating,
-    _jacobi_rows,
+    _level_map,
     _w_tilde_vals,
     base_series_coefficients,
     diag_operator_multipliers,
@@ -289,107 +291,38 @@ def _lhs_value(params, lam, weights, pt, order_n, grid, op_power):
                 break
         return total
 
-    grid = _require_grid(grid, lam, order_n)
-    if order_n == 2:
-        return _lhs_order2(params, lam, weights, pt, grid, op_power, gw, trailing)
-
-    # order 1 with the alpha_0 sum taken first:
-    # sum_i mult_i sum_mesh w (t u eta)^i sum_{a1 >= i} s1^a1 trailing_a1 C[a1, i] F_{a1,i},
-    # C[a1, i] = sum_{i <= a0 <= a1} (gamma)_a0/a0! s0^a0 kappa_{a0,i} and
-    # F_{a1,i} = F(a1 - i, 5/4 + lam + a1 + i; X), one Jacobi recurrence per i
-    t, u, w = _level_mesh(grid.levels[0])
-    big_x = pt.eta * ((1 - t) * (1 - u))
-    w_tu = w * _powers(t * u * pt.eta, a_max + 1)
-    mult = diag_operator_multipliers(params, lam / 2, op_power, a_max)
-    chain = s[1] ** np.arange(a_max + 1) * trailing
-    c_tab = np.cumsum(_weighted_kappa(lam, gw, s[0], a_max), axis=0) * chain[:, None]
-    total = 0.0
-    for i in range(a_max + 1):
-        rows = _jacobi_rows(a_max - i, 2 * i + 0.25 + lam, big_x)
-        total += mult[i] * float(c_tab[i:, i] @ np.sum(w_tu[i] * rows, axis=(1, 2)))
-    return pt.mu * pt.xi**lam * total
-
-
-def _lhs_order2(params, lam, weights, pt, grid, op_power, gw, trailing):
-    """Order-2 left side from level tables; the level-1 step runs once per (a0, a1).
-
-    Level 2 is linear in the level-1 Taylor coefficients G_{a0,a1}, so the a2
-    sum folds into S2[a1, i] = sum_{a2 >= a1} s2^a2 trailing_a2
-    sum_mesh w (t u eta)^i F(a2 - i, 9/4 + lam + a2 + i; eta tbar).
-    """
-    s = weights.s
-    a_max = weights.A_max
-    mult1 = diag_operator_multipliers(params, lam / 2, op_power, a_max)
-    mult2 = diag_operator_multipliers(params, (1 + lam) / 2, op_power, a_max)
-
-    t, u, w = _level_mesh(grid.levels[1])
-    big_x = pt.eta * ((1 - t) * (1 - u))
-    w_tu = w * _powers(t * u * pt.eta, a_max + 1)
-    level2 = np.zeros((a_max + 1, a_max + 1))
-    for i in range(a_max + 1):
-        rows = _jacobi_rows(a_max - i, 2 * i + 1.25 + lam, big_x)
-        level2[i:, i] = np.sum(w_tu[i] * rows, axis=(1, 2))
-    level2 *= (s[2] ** np.arange(a_max + 1) * trailing)[:, None]
-    s2_tab = np.cumsum(level2[::-1], axis=0)[::-1]
-
-    # level 1 at the a1 + 1 FFT nodes x_k: M[k, i] = x_k^i sum_mesh w (t u)^i
-    # F(a1 - i, 5/4 + lam + a1 + i; x_k tbar), shared by every a0 <= a1
-    t, u, w = _level_mesh(grid.levels[0])
-    tbar = (1 - t) * (1 - u)
-    w_tu = w * _powers(t * u, a_max + 1)
-    kappa = _weighted_kappa(lam, gw, s[0], a_max) * mult1
-    total = 0.0
-    for a1 in range(a_max + 1):
-        wa1 = s[1] ** a1
-        if wa1 == 0 and a1 > 0:
-            continue
-        n_x = a1 + 1
-        xs = 0.8 * np.exp(2j * np.pi * np.arange(n_x) / n_x)
-        big_x = xs[:, None, None] * tbar
-        m_tab = np.empty((n_x, n_x), dtype=complex)
-        for i in range(n_x):
-            block = _f21_terminating(a1 - i, 1.25 + lam + a1 + i, big_x)
-            m_tab[:, i] = xs**i * np.sum(w_tu[i] * block, axis=(1, 2))
-        scale = n_x * 0.8 ** np.arange(n_x)
-        level2_row = mult2[:n_x] * s2_tab[a1, :n_x]
-        for a0 in range(n_x):
-            if not kappa[a0].any():
-                continue
-            taylor = (np.fft.fft(m_tab[:, : a0 + 1] @ kappa[a0, : a0 + 1]) / scale).real
-            total += wa1 * float(taylor @ level2_row)
-    return pt.mu**2 * pt.xi**lam * total
+    if grid is not None:
+        _require_grid(grid, lam, order_n)
+    # level by level, no grid: row a holds the weighted level-l outputs of all
+    # chains with alpha_l = a; its prefix sums over a feed level l + 1
+    table = _weighted_kappa(lam, gw, s[0], a_max)
+    for level in range(1, order_n + 1):
+        mult = diag_operator_multipliers(params, (level - 1 + lam) / 2, op_power, a_max)
+        cumulative = np.cumsum(table, axis=0) * mult
+        weight = s[level] ** np.arange(a_max + 1)
+        if level == order_n:
+            weight = weight * trailing
+        table = np.zeros((a_max + 1, a_max + 1))
+        for a in np.flatnonzero(weight):
+            table[a, : a + 1] = weight[a] * (
+                cumulative[a, : a + 1] @ _level_map(level, lam, a)
+            )
+    top = np.polyval(table.sum(axis=0)[::-1], pt.eta)
+    return pt.mu**order_n * pt.xi**lam * float(top)
 
 
 def _lhs_tail(params, lam, weights, pt, order_n, grid, op_power):
     """Truncation estimate: A_max times the size of the all-A_max chain term."""
     s = weights.s
     a_max = weights.A_max
-    gw_last = _gw_weights(weights.gamma, a_max)[a_max]
-    trailing = _trailing_table(s, order_n, a_max)[a_max]
-    if order_n != 1:
-        weight = gw_last
-        for k in range(order_n + 1):
-            weight *= s[k] ** a_max
-        weight *= trailing
-        if weight == 0:
-            return 0.0
-        chain = AlphaChain((a_max,) * (order_n + 1))
-        return abs(weight * y_n_term_closed(params, lam, order_n, chain, pt, grid, op_power)) * a_max
-
-    # order 1 keeps the summation order the reported estimate has always had
-    if s[0] == 0:
+    weight = _gw_weights(weights.gamma, a_max)[a_max]
+    for k in range(order_n + 1):
+        weight *= s[k] ** a_max
+    weight *= _trailing_table(s, order_n, a_max)[a_max]
+    if weight == 0:
         return 0.0
-    t, u, w = _level_mesh(grid.levels[0])
-    big_x = pt.eta * ((1 - t) * (1 - u))
-    tu_eta = t * u * pt.eta
-    mult = diag_operator_multipliers(params, lam / 2, op_power, a_max)
-    kap = base_series_coefficients(a_max, lam)
-    inner = np.zeros(t.shape)
-    for i in range(a_max + 1):
-        block = _f21_terminating(a_max - i, 1.25 + lam + a_max + i, big_x)
-        inner += kap[i] * mult[i] * tu_eta**i * (s[1] ** a_max * trailing * block)
-    last = gw_last * abs(s[0]) ** a_max * abs(np.sum(w * inner))
-    return abs(pt.mu) * pt.xi**lam * last * a_max
+    chain = AlphaChain((a_max,) * (order_n + 1))
+    return abs(weight * y_n_term_closed(params, lam, order_n, chain, pt, grid, op_power)) * a_max
 
 
 def gf_lhs_order(params, lam, weights, pt, order_n, grid=None, op_power=2):

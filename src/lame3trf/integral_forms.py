@@ -11,9 +11,12 @@ Per power of the chained variable the contour integrand folds into
 
 with X = x (1 - t)(1 - u), which is regular at v = 1, so each level
 contracts to a polynomial of degree alpha_l in the next chained variable.
-The contraction is carried either by numerical contour quadrature or by
-the exact terminating hypergeometric residue; both routes are exposed so
-they can be cross-checked.
+y_n_term carries the contraction by numerical contour and Gauss-Jacobi
+quadrature, as the integral form is written.  y_n_term_closed takes the
+residue, the terminating 2F1(-m, c; 1; X), and integrates it over t and u
+term by term with the Beta integral: each level is then an exact triangular
+map on coefficient vectors (_level_map), with no mesh.  The two routes
+cross-check each other.
 """
 
 from __future__ import annotations
@@ -348,6 +351,11 @@ def gauss_jacobi_unit(n, c):
     return (1 + x) / 2, w * 2.0 ** (-(c + 1))
 
 
+def _level_exponents(level, lam):
+    """Endpoint exponents (t_e, u_e) of the t and u integrals at a level."""
+    return (level - 2.5 + lam) / 2, (level - 2.0 + lam) / 2
+
+
 def make_quadrature_grid(lam, n_levels, nodes=64, contour_m=512):
     """Build the per-level Gauss-Jacobi rules and the shared contour rule."""
     lam = lam_value(lam)
@@ -357,8 +365,7 @@ def make_quadrature_grid(lam, n_levels, nodes=64, contour_m=512):
         raise InvalidParameterError("need at least 16 nodes per level")
     levels = []
     for level in range(1, n_levels + 1):
-        te = (level - 2.5 + lam) / 2
-        ue = (level - 2.0 + lam) / 2
+        te, ue = _level_exponents(level, lam)
         tn, tw = gauss_jacobi_unit(nodes, te)
         un, uw = gauss_jacobi_unit(nodes, ue)
         levels.append(LevelRule(tn, tw, un, uw, te, ue))
@@ -391,45 +398,43 @@ def base_series_coefficients(alpha0, lam):
     return out
 
 
-def _f21_terminating(n_top, c, x):
-    """Terminating 2F1(-n_top, c; 1; x) on an ndarray argument, by Horner steps."""
-    acc = np.ones_like(x)
-    term = np.ones_like(x)
-    for k in range(1, n_top + 1):
-        term = term * (((-n_top + k - 1) * (c + k - 1)) / (k * k)) * x
-        acc = acc + term
-    return acc
+def _level_map(level, lam, alpha):
+    """Exact map of one level on coefficient vectors, g -> g @ T, to degree alpha.
 
+    Per input power i the level integral of (t u x)**i 2F1(-m, c; 1; x(1-t)(1-u))
+    against t**t_e u**u_e over the unit square, taken term by term with the
+    Beta integral (DLMF 5.12.1, 16.2.1), is sum_k T[i, i+k] x**(i+k) with
 
-def _jacobi_rows(m_top, beta, x):
-    """Rows _f21_terminating(m, m + beta + 1, x) for m = 0..m_top, stacked.
+        T[i, i+k] = (-m)_k (c)_k / k!**2 B(a, k+1) B(b, k+1)
+                  = (-m)_k (c)_k / ((a)_(k+1) (b)_(k+1)),
 
-    Row m is the Jacobi polynomial P_m^(0, beta)(1 - 2x); all rows come from
-    the three-term recurrence in m (DLMF 18.9.2 with alpha = 0).
+    m = alpha - i, c = level + 1/4 + lam + alpha + i, a = t_e + i + 1 and
+    b = u_e + i + 1; each row is one running product of term ratios.
     """
-    rows = np.empty((m_top + 1,) + np.shape(x), dtype=np.result_type(x, float))
-    rows[0] = 1.0
-    if m_top >= 1:
-        rows[1] = 1 - (beta + 2) * x
-    for m in range(2, m_top + 1):
-        s = 2 * m + beta
-        den = 2 * m * (m + beta) * (s - 2)
-        lead = (s - 1) * s * (s - 2) / den
-        shift = (s - 1) * beta * beta / den
-        back = 2 * (m - 1) * (m + beta - 1) * s / den
-        rows[m] = (lead - shift - 2 * lead * x) * rows[m - 1] - back * rows[m - 2]
-    return rows
+    te, ue = _level_exponents(level, lam)
+    i = np.arange(alpha + 1.0)[:, None]
+    k = np.arange(alpha + 1.0)
+    a = te + i + 1
+    b = ue + i + 1
+    c = level + 0.25 + lam + alpha + i
+    ratios = (k - 1 - (alpha - i)) * (c + k - 1) / ((a + k) * (b + k))
+    ratios[:, :1] = 1 / (a * b)
+    rows = np.cumprod(ratios, axis=1)
+    out = np.zeros((alpha + 1, alpha + 1))
+    ii, jj = np.triu_indices(alpha + 1)
+    out[ii, jj] = rows[ii, jj - ii]
+    return out
 
 
 def _contour_f21(n_top, c, x_arr, vnodes):
-    """Contour-quadrature twin of _f21_terminating via the folded integrand."""
+    """Terminating 2F1(-n_top, c; 1; x) on an ndarray, by the folded contour integrand."""
     flat = x_arr.ravel()[:, None]
     v = vnodes[None, :]
     vals = ((v - 1) / v) ** n_top * (1 - flat * v) ** (-c)
     return vals.mean(axis=1).reshape(x_arr.shape)
 
 
-def _y_n_nested(params, lam, n, chain, pt, grid, op_power, use_contour):
+def _check_term(lam, n, chain, grid, op_power):
     lam = lam_value(lam)
     if len(chain) != n + 1:
         raise InvalidParameterError(
@@ -437,17 +442,21 @@ def _y_n_nested(params, lam, n, chain, pt, grid, op_power, use_contour):
         )
     if op_power not in (1, 2):
         raise InvalidParameterError(f"operator power must be 1 or 2, got {op_power}")
-    if n == 0:
-        kap = base_series_coefficients(chain[0], lam)
-        return pt.xi ** lam * float(np.polyval(kap[::-1], pt.eta))
-    if grid is None:
-        raise InvalidParameterError("orders n >= 1 need a quadrature grid")
-    if grid.lam != lam:
-        raise InvalidParameterError("grid was built for a different indicial exponent")
-    if len(grid.levels) < n:
-        raise InvalidParameterError(f"grid has {len(grid.levels)} levels, need {n}")
-    if pt.xi == 0:
-        return 0.0
+    if n >= 1:
+        if grid is None:
+            raise InvalidParameterError("orders n >= 1 need a quadrature grid")
+        if grid.lam != lam:
+            raise InvalidParameterError("grid was built for a different indicial exponent")
+        if len(grid.levels) < n:
+            raise InvalidParameterError(f"grid has {len(grid.levels)} levels, need {n}")
+    return lam
+
+
+def y_n_term(params, lam, n, chain, pt, grid, op_power=2):
+    """Order-n series term via numerical contour quadrature at every level."""
+    lam = _check_term(lam, n, chain, grid, op_power)
+    if n == 0 or pt.xi == 0:  # no level integral to take
+        return y_n_term_closed(params, lam, n, chain, pt, grid, op_power)
 
     g = base_series_coefficients(chain[0], lam).astype(complex)
     top = 0.0
@@ -474,10 +483,7 @@ def _y_n_nested(params, lam, n, chain, pt, grid, op_power, use_contour):
                 if g[i] == 0:
                     continue
                 c_i = level + 0.25 + lam + al + i
-                if use_contour:
-                    block = _contour_f21(al - i, c_i, big_x, grid.contour_nodes)
-                else:
-                    block = _f21_terminating(al - i, c_i, big_x)
+                block = _contour_f21(al - i, c_i, big_x, grid.contour_nodes)
                 acc = acc + g[i] * (x**i) * tu**i * block
             h_vals[ix] = np.sum(weights * acc)
         if level == n:
@@ -488,14 +494,16 @@ def _y_n_nested(params, lam, n, chain, pt, grid, op_power, use_contour):
     return float(pt.mu**n * pt.xi**lam * top)
 
 
-def y_n_term(params, lam, n, chain, pt, grid, op_power=2):
-    """Order-n series term via numerical contour quadrature at every level."""
-    return _y_n_nested(params, lam, n, chain, pt, grid, op_power, True)
-
-
 def y_n_term_closed(params, lam, n, chain, pt, grid, op_power=2):
-    """Order-n series term via the exact per-level residue polynomials."""
-    return _y_n_nested(params, lam, n, chain, pt, grid, op_power, False)
+    """Order-n series term via the exact Beta-sum map at every level."""
+    lam = _check_term(lam, n, chain, grid, op_power)
+    if n and pt.xi == 0:
+        return 0.0
+    g = base_series_coefficients(chain[0], lam)
+    for level in range(1, n + 1):
+        g = g * diag_operator_multipliers(params, (level - 1 + lam) / 2, op_power, len(g) - 1)
+        g = g @ _level_map(level, lam, chain[level])[: len(g)]
+    return float(pt.mu**n * pt.xi**lam * np.polyval(g[::-1], pt.eta))
 
 
 def y_total(params, lam, chains, pt, n_max, grid, op_power=2):

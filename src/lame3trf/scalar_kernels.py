@@ -244,10 +244,11 @@ def jacobi_sn_cn_dn(z, rho):
     """Jacobi elliptic sn, cn, dn of real z at modulus rho in [0, 1].
 
     For 0 < rho < 1 an argument beyond 2K is first reduced modulo the real
-    period 4K (DLMF 22.4); once |z| 2**-52 reaches K the reduction leaves no
-    correct digit and the argument is rejected.  Then the descending Landen
-    ladder runs until the modulus falls below 1e-15, evaluates trigonometric
-    values at the bottom, and unwinds.
+    period 4K (DLMF 22.4).  The rounding of 4K shifts the reduced argument by
+    up to about |z| 2**-53, so the argument is rejected once |z| 2**-52
+    reaches 1e-8 K, a shift near 1e-8 of a quarter period.  Then the
+    descending Landen ladder runs until the modulus falls below 1e-15,
+    evaluates trigonometric values at the bottom, and unwinds.
     """
     if not 0 <= rho <= 1:
         raise InvalidParameterError(f"modulus must lie in [0, 1], got {rho}")
@@ -263,7 +264,7 @@ def jacobi_sn_cn_dn(z, rho):
 
     quarter = _complete_k(rho)
     if abs(z) > 2 * quarter:
-        if abs(z) * 2.0**-52 >= quarter:
+        if abs(z) * 2.0**-52 >= 1e-8 * quarter:
             raise InvalidParameterError(
                 f"argument {z} is too large to reduce by the period 4K = {4 * quarter}"
             )

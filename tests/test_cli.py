@@ -82,6 +82,7 @@ def test_eval_sn_large_z_reduced_or_rejected(capsys):
     sn = float(row.split(",")[2])
     assert sn == jacobi_sn_cn_dn(1000.0, 0.5)[0]
     assert run_cli("eval-sn", "--z", "1e300", "--rho", "0.5") == 2
+    assert run_cli("eval-sn", "--z", "1e15", "--rho", "0.5") == 2
 
 
 def test_eval_sn_requires_z(capsys):

@@ -1,6 +1,7 @@
 """Tests for the weighted-sum generating identities: the bottom series, the
 closed-form kernels, and order-by-order left/right-hand-side assemblies."""
 
+import itertools
 import math
 
 import numpy as np
@@ -17,7 +18,6 @@ from lame3trf import generating_functions
 from lame3trf.integral_forms import (
     AlphaChain,
     SParameters,
-    _f21_terminating,
     base_series_coefficients,
     diag_operator_multipliers,
     make_quadrature_grid,
@@ -77,6 +77,16 @@ def ref_trailing(s, order_n, a_max):
         table = [sum(s[m] ** b * table[b] for b in range(a, a_max + 1))
                  for a in range(a_max + 1)]
     return table
+
+
+def _f21_terminating(n_top, c, x):
+    """Terminating 2F1(-n_top, c; 1; x) on an ndarray argument, by Horner steps."""
+    acc = np.ones_like(x)
+    term = np.ones_like(x)
+    for k in range(1, n_top + 1):
+        term = term * (((-n_top + k - 1) * (c + k - 1)) / (k * k)) * x
+        acc = acc + term
+    return acc
 
 
 def ref_mesh(rule):
@@ -209,6 +219,48 @@ def test_order2_tables_match_chain_sum(lam, opp, a_max, s):
     assert lhs == pytest.approx(
         ref_lhs_order2(STD, lam, weights, pt, grid, opp), rel=1e-12
     )
+
+
+def oracle_chain_sum(params, lam, weights, pt, order_n, op_power):
+    """Order-n left side as the 40-digit chain sum over alpha_0 <= ... <= alpha_n."""
+    from chain_oracle import mp_chain_term
+
+    s, a_max = weights.s, weights.A_max
+    gw = ref_chain_weights(weights.gamma, a_max)
+    trailing = ref_trailing(s, order_n, a_max)
+    total = 0
+    for chain in itertools.combinations_with_replacement(range(a_max + 1), order_n + 1):
+        weight = gw[chain[0]] * trailing[chain[-1]]
+        for k, a in enumerate(chain):
+            weight *= s[k] ** a
+        if weight != 0:
+            total += weight * mp_chain_term(params, lam, chain, pt, op_power)
+    return float(total)
+
+
+@pytest.mark.parametrize("order_n", [1, 2])
+@pytest.mark.parametrize("lam,opp,a_max,s", [c for c in REF_CASES if c[2] <= 5])
+def test_lhs_matches_mpmath_chain_sum(order_n, lam, opp, a_max, s):
+    pytest.importorskip("mpmath")
+    weights, pt, _ = _ref_args(lam, a_max, s, order_n, 16)
+    lhs = gf_lhs_order(STD, lam, weights, pt, order_n, op_power=opp)
+    assert lhs == pytest.approx(
+        oracle_chain_sum(STD, lam, weights, pt, order_n, opp), rel=1e-13, abs=0
+    )
+
+
+def test_order2_tail_matches_mpmath_chain_term():
+    # the tail of `verify gf-order2` at its defaults is A_max times the
+    # weighted all-A_max chain term (10, 10, 10)
+    pytest.importorskip("mpmath")
+    from chain_oracle import mp_chain_term
+
+    w = GFWeights(0.75, S_STD, 10, 2)
+    grid = make_quadrature_grid(0.0, 2, nodes=32, contour_m=256)
+    rep = gf_verify_order(STD, 0.0, w, PT, 2, grid=grid)
+    weight = ref_chain_weights(0.75, 10)[10] * s_partial_product(S_STD, 0, 2) ** 10
+    want = abs(weight * mp_chain_term(STD, 0.0, (10, 10, 10), PT, 2)) * 10
+    assert rep.truncation_estimate == pytest.approx(float(want), rel=1e-14, abs=0)
 
 
 def test_order2_lhs_sums_no_chain_terms(monkeypatch):

@@ -15,7 +15,6 @@ from lame3trf.scalar_kernels import (
 from lame3trf.lame_series import EvaluationPoint, LameParams
 from lame3trf.integral_forms import (
     AlphaChain,
-    _jacobi_rows,
     QuadratureGrid,
     SParameters,
     choose_contour_radius,
@@ -33,22 +32,6 @@ from lame3trf.integral_forms import (
 )
 
 STD = LameParams(rho=0.5, alpha=3.0, h=1.0)
-
-
-# ------------------------------------------------------------ Jacobi rows
-
-def test_jacobi_rows_match_mpmath_hyp2f1():
-    # row m is 2F1(-m, m + beta + 1; 1; x); x spans the real level arguments
-    # (eta tbar < 0), the positive side where the plain series cancels, and
-    # the complex FFT nodes of the order-2 level-1 step; on 0 < x < 1 the
-    # rows oscillate, so the error is taken against max(|row|, 1)
-    mpmath = pytest.importorskip("mpmath")
-    x = np.array([-0.06, -1e-3, 0.05, 0.3, 0.05 * np.exp(2.1j)])
-    for beta in (0.25, 2.75, 17.25):
-        rows = _jacobi_rows(30, beta, x)
-        for m in (0, 1, 2, 7, 30):
-            want = np.array([complex(mpmath.hyp2f1(-m, m + beta + 1, 1, xv)) for xv in x])
-            assert np.all(np.abs(rows[m] - want) <= 1e-14 * np.maximum(np.abs(want), 1))
 
 
 # ------------------------------------------------------------- SParameters
@@ -484,6 +467,29 @@ def test_y1_op_power_changes_value():
     v1 = y_n_term(STD, 0.0, 1, AlphaChain((2, 2)), pt, grid, 1)
     v2 = y_n_term(STD, 0.0, 1, AlphaChain((2, 2)), pt, grid, 2)
     assert v1 != v2
+
+
+# ------------------------------------------------ chain terms against mpmath
+
+ORACLE_CHAINS = ((0, 0), (3, 5), (2, 4, 6), (5, 8, 12), (9, 9, 9), (10, 10, 10))
+
+
+@pytest.mark.parametrize("rho,xi", [(0.5, 0.1), (0.9, 0.9)])
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+def test_y_n_term_closed_matches_mpmath_oracle(rho, xi, lam):
+    # (10, 10, 10) is the tail chain of `verify gf-order2`; at (0.9, 0.9)
+    # eta = -0.656, where the level-to-level Taylor transfer loses digits
+    pytest.importorskip("mpmath")
+    from chain_oracle import mp_chain_term
+
+    params = LameParams(rho=rho, alpha=3.0, h=1.0)
+    pt = EvaluationPoint.from_xi(xi, rho=rho)
+    grid = make_quadrature_grid(lam, 3, nodes=32, contour_m=256)
+    for chain in ORACLE_CHAINS:
+        for opp in (1, 2):
+            got = y_n_term_closed(params, lam, len(chain) - 1, AlphaChain(chain), pt, grid, opp)
+            want = float(mp_chain_term(params, lam, chain, pt, opp))
+            assert got == pytest.approx(want, rel=1e-14, abs=0), (chain, opp)
 
 
 # ------------------------------------------------------------------ y_total

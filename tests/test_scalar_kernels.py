@@ -383,11 +383,24 @@ def test_jacobi_sn_cn_dn_reduced_by_period_matches_mpmath(z, rho):
     assert got == pytest.approx(want, rel=0, abs=8 * abs(z) * 2.0**-52)
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("rho", [0.2, 0.5, 0.9])
+def test_jacobi_sn_cn_dn_just_under_the_reduction_limit_matches_mpmath(sign, rho):
+    # the limit |z| 2**-52 < 1e-8 K(rho) keeps the reduced argument within
+    # about 1e-8 of the true one
+    mpmath = pytest.importorskip("mpmath")
+    z = sign * 0.99e-8 * float(mpmath.ellipk(rho * rho)) * 2.0**52
+    with mpmath.workdps(40):
+        want = [float(mpmath.ellipfun(f, z, m=rho * rho)) for f in ("sn", "cn", "dn")]
+    assert jacobi_sn_cn_dn(z, rho) == pytest.approx(want, rel=0, abs=3e-8)
+
+
 def test_jacobi_sn_cn_dn_rejects_unreducible_argument():
-    # once |z| 2**-52 reaches K(rho) no digit of the reduced argument is right
+    # once |z| 2**-52 reaches 1e-8 K(rho) fewer than eight digits of the
+    # reduced argument are right; z = 1e15 kept about one
     k_half = 1.6857503548125961  # K(0.5)
-    jacobi_sn_cn_dn(0.99 * k_half * 2.0**52, 0.5)
-    for z in (1.01 * k_half * 2.0**52, -1e300):
+    jacobi_sn_cn_dn(0.99e-8 * k_half * 2.0**52, 0.5)
+    for z in (1.01e-8 * k_half * 2.0**52, 1e15, -1e300):
         with pytest.raises(InvalidParameterError):
             jacobi_sn_cn_dn(z, 0.5)
     # the trigonometric and hyperbolic limits need no reduction
