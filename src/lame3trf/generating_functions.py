@@ -10,11 +10,11 @@ geometric sum under the contour integral and keeping the interior-pole
 residue: per level a radical kernel evaluated at the effective weight,
 chained through the closed w-substitution, on Gauss-Jacobi meshes.
 
-The closed-form reduction drops the residues at the contour origin that the
-off-diagonal terms (inner power below alpha_0) acquire, so the as-written
-order-1 identity carries a finite gap on generic weights; the explicit
-origin-residue correction is provided and restores the identity to
-quadrature accuracy.
+The order-1 resummation also adds the chains alpha_1 < alpha_0 (their origin
+residues), which the left side lacks, so the as-written identity carries a
+finite gap on generic weights.  gf_order1_origin_residue is minus those chain
+terms, summed exactly on the same level map with no mesh; what is left of
+lhs - rhs - residue is the quadrature error of the right side alone.
 """
 
 from __future__ import annotations
@@ -23,7 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scalar_kernels import InvalidParameterError, SingularValueError, _principal_sqrt
+from .scalar_kernels import (
+    ConvergenceError,
+    InvalidParameterError,
+    SingularValueError,
+    _principal_sqrt,
+)
 from .lame_series import lam_value
 from .integral_forms import (
     AlphaChain,
@@ -108,15 +113,8 @@ def upsilon(lam, gamma, s_eff, x, pt, a_max):
     lam = lam_value(lam)
     if not abs(s_eff) < 1:
         raise InvalidParameterError(f"effective weight must satisfy |s| < 1, got {s_eff}")
-    gw = _gw_weights(gamma, a_max)
-    total = 0.0
-    for a0 in range(a_max + 1):
-        kap = base_series_coefficients(a0, lam)
-        inner = np.polyval(kap[::-1], x)
-        total = total + gw[a0] * s_eff**a0 * inner
-        if s_eff == 0:
-            break
-    return pt.xi**lam * total
+    rows = _weighted_kappa(lam, _gw_weights(gamma, a_max), s_eff, a_max)
+    return pt.xi**lam * np.polyval(rows.sum(axis=0)[::-1], x)
 
 
 def _radical(s, w):
@@ -190,27 +188,34 @@ def _level_sum(lam, level, s_eff, mesh, x, acted):
 def _closed_levels(params, lam, s, grid, eta, acted, n, op_power):
     """Closed right side of levels 1..n, before the mu^n xi^lam and trailing factors.
 
+    Level l runs at the effective weight s_l...s_K: the geometric sums of the
+    levels above it, summed first, carry their weights down to alpha_l.
     acted(w~) is the operator-acted level-1 integrand.  For n = 2 the level-1
     sum is a function of the level-2 chained variable; its Taylor coefficients
     come from an FFT on a circle four times wider than the largest |w~|, so
     the level-2 operator can act on them power by power.
+    A complex top-level sum (radicand (1 - S)^2 + 4 S X < 0) raises ConvergenceError.
     """
     s_eff = s_partial_product(s, n, s.K)
     outer = _level_mesh(grid.levels[n - 1])
     if n == 1:
-        return float(_level_sum(lam, 1, s_eff, outer, eta, acted))
-    inner = _level_mesh(grid.levels[0])
-    wt_outer = _w_tilde_vals(s_eff, outer[0], outer[1], eta)
-    m_x = 48
-    r_f = max(4 * float(np.max(np.abs(wt_outer))), 0.02)
-    xs = r_f * np.exp(2j * np.pi * np.arange(m_x) / m_x)
-    g_vals = np.array([_level_sum(lam, 1, s[1], inner, x, acted) for x in xs])
-    taylor = (np.fft.fft(g_vals) / (m_x * r_f ** np.arange(m_x))).real
-    mult2 = diag_operator_multipliers(params, (1 + lam) / 2, op_power, m_x - 1)
-    g_op = (taylor * mult2)[::-1]
-    return float(
-        _level_sum(lam, 2, s_eff, outer, eta, lambda wt: np.polyval(g_op, wt))
-    )
+        top = _level_sum(lam, 1, s_eff, outer, eta, acted)
+    else:
+        inner = _level_mesh(grid.levels[0])
+        s_one = s_partial_product(s, 1, s.K)
+        wt_outer = _w_tilde_vals(s_eff, outer[0], outer[1], eta)
+        m_x = 48
+        r_f = max(4 * float(np.max(np.abs(wt_outer))), 0.02)
+        xs = r_f * np.exp(2j * np.pi * np.arange(m_x) / m_x)
+        g_vals = np.array([_level_sum(lam, 1, s_one, inner, x, acted) for x in xs])
+        taylor = (np.fft.fft(g_vals) / (m_x * r_f ** np.arange(m_x))).real
+        mult2 = diag_operator_multipliers(params, (1 + lam) / 2, op_power, m_x - 1)
+        g_op = (taylor * mult2)[::-1]
+        top = _level_sum(lam, 2, s_eff, outer, eta, lambda wt: np.polyval(g_op, wt))
+    if np.iscomplexobj(top):
+        raise ConvergenceError(f"order-{n} closed right side is complex: "
+                               "the kernel radicand is negative on the mesh")
+    return float(top)
 
 
 def _geom(s, from_k):
@@ -256,13 +261,11 @@ def _weighted_kappa(lam, gw, s0, a_max):
     return table
 
 
-def _powers(x, n):
-    """Stacked x^0..x^(n-1) by running products."""
-    out = np.empty((n,) + np.shape(x), dtype=np.result_type(x, float))
-    out[0] = 1.0
-    if n > 1:
-        out[1:] = x
-        np.cumprod(out[1:], axis=0, out=out[1:])
+def _map_rows(rows, level, lam, weight):
+    """Row a -> weight[a] rows[a, :a+1] @ _level_map(level, lam, a); zero where weight[a] = 0."""
+    out = np.zeros_like(rows)
+    for a in np.flatnonzero(weight):
+        out[a, : a + 1] = weight[a] * (rows[a, : a + 1] @ _level_map(level, lam, a))
     return out
 
 
@@ -276,37 +279,22 @@ def _check_order(weights, order_n):
 def _lhs_value(params, lam, weights, pt, order_n, grid, op_power):
     lam = lam_value(lam)
     _check_order(weights, order_n)
+    if order_n >= 1 and grid is not None:
+        _require_grid(grid, lam, order_n)
     s = weights.s
     a_max = weights.A_max
-    gw = _gw_weights(weights.gamma, a_max)
     trailing = _trailing_table(s, order_n, a_max)
-
-    if order_n == 0:
-        total = 0.0
-        for a0 in range(a_max + 1):
-            kap = base_series_coefficients(a0, lam)
-            y0 = pt.xi**lam * float(np.polyval(kap[::-1], pt.eta))
-            total += gw[a0] * s[0] ** a0 * trailing[a0] * y0
-            if s[0] == 0:
-                break
-        return total
-
-    if grid is not None:
-        _require_grid(grid, lam, order_n)
     # level by level, no grid: row a holds the weighted level-l outputs of all
     # chains with alpha_l = a; its prefix sums over a feed level l + 1
-    table = _weighted_kappa(lam, gw, s[0], a_max)
+    table = _weighted_kappa(lam, _gw_weights(weights.gamma, a_max), s[0], a_max)
+    if order_n == 0:
+        table = table * trailing[:, None]
     for level in range(1, order_n + 1):
         mult = diag_operator_multipliers(params, (level - 1 + lam) / 2, op_power, a_max)
-        cumulative = np.cumsum(table, axis=0) * mult
         weight = s[level] ** np.arange(a_max + 1)
         if level == order_n:
             weight = weight * trailing
-        table = np.zeros((a_max + 1, a_max + 1))
-        for a in np.flatnonzero(weight):
-            table[a, : a + 1] = weight[a] * (
-                cumulative[a, : a + 1] @ _level_map(level, lam, a)
-            )
+        table = _map_rows(np.cumsum(table, axis=0) * mult, level, lam, weight)
     top = np.polyval(table.sum(axis=0)[::-1], pt.eta)
     return pt.mu**order_n * pt.xi**lam * float(top)
 
@@ -356,51 +344,26 @@ def gf_order1_origin_residue(params, lam, weights, pt, grid=None, op_power=2):
     """Origin residues dropped by the order-1 closed-form reduction.
 
     Adding this to the order-1 right-hand side restores equality with the
-    left-hand side: per (alpha_0, i) the resummed contour integrand keeps a
-    pole of order n = alpha_0 - i at the origin whose residue is the coefficient
-    of v^(n-1) in (v-1)^n (1-Xv)^(-c) D(v), D(v) = 1/(S+(1-S)v-Xv^2).
-
-    The weight S^alpha_0 is carried into the scaled series D^(v) = S D(S v)
-    and q_n(v) = (S v - 1)^n D^(v), so the term is
-    S^i sum_k (c)_k/k! (S X)^k q_{n, n-1-k}, with no negative power of S.
+    left-hand side.  Resumming the geometric sum over alpha_1 under the contour
+    integral also sums the chains alpha_1 < alpha_0, which the left side does
+    not have; their level-1 terms with i <= alpha_1 are the origin residues.
+    So the residue is minus those chain terms at the weight S^alpha_1,
+    S = s_1...s_K: the exact level map on the suffix sums over alpha_0 > alpha_1.
     """
     lam = lam_value(lam)
+    if grid is not None:
+        _require_grid(grid, lam, 1)
     s = weights.s
     a_max = weights.A_max
-    grid = _require_grid(grid, lam, 1)
-    s_eff = s_partial_product(s, 1, s.K)
-    prefactor = _geom(s, 2)
-    gw = _gw_weights(weights.gamma, a_max)
+    rows = _weighted_kappa(lam, _gw_weights(weights.gamma, a_max), s[0], a_max)
+    # row a: the sum of the weighted kappa rows over alpha_0 > a
+    above = np.zeros_like(rows)
+    above[:-1] = np.cumsum(rows[:0:-1], axis=0)[::-1]
     mult = diag_operator_multipliers(params, lam / 2, op_power, a_max)
-    kappa = _weighted_kappa(lam, gw, s[0], a_max) * mult
-
-    t, u, w = _level_mesh(grid.levels[0])
-    big_x = (pt.eta * (1 - t) * (1 - u)).ravel()
-    w_tu = w.ravel() * _powers((t * u * pt.eta).ravel(), a_max)
-    sx_pow = _powers(s_eff * big_x, a_max)
-    k = np.arange(a_max)
-
-    # q_0 = D^: coefficients of 1/(1 + (1-S)v - S X v^2), up to v^(a_max-1)
-    q = np.empty((a_max, big_x.size))
-    q[0] = 1.0
-    if a_max > 1:
-        q[1] = -(1 - s_eff)
-    for l in range(2, a_max):
-        q[l] = -((1 - s_eff) * q[l - 1] - s_eff * big_x * q[l - 2])
-
-    # step n: q <- (S v - 1) q, then for every alpha_0 = n + i the mesh sums of
-    # w (t u eta)^i (S X)^k q_{n, n-1-k}, weighted by (c)_k/k!, c = 1/4 + lam + n + 2i
-    total = 0.0
-    for n in range(1, a_max + 1):
-        q[1:] = s_eff * q[:-1] - q[1:]
-        q[0] = -q[0]
-        i = np.arange(a_max - n + 1)
-        ratios = np.ones((len(i), n))
-        ratios[:, 1:] = (0.25 + lam + n + 2 * i[:, None] + k[: n - 1]) / k[1:n]
-        sums = (sx_pow[:n] * q[n - 1 :: -1]) @ w_tu[: len(i)].T
-        nodes = np.einsum("ik,ki->i", np.cumprod(ratios, axis=1), sums)
-        total += float(np.sum(kappa[n + i, i] * s_eff**i * nodes))
-    return pt.mu * pt.xi**lam * prefactor * total
+    weight = s_partial_product(s, 1, s.K) ** np.arange(a_max + 1)
+    table = _map_rows(above * mult, 1, lam, weight)
+    top = np.polyval(table.sum(axis=0)[::-1], pt.eta)
+    return -pt.mu * pt.xi**lam * _geom(s, 2) * float(top)
 
 
 def gf_verify_order(params, lam, weights, pt, order_n, grid=None, op_power=2):

@@ -174,6 +174,29 @@ def test_verify_gf_order2_fails_honestly(capsys):
     assert capsys.readouterr().out.startswith("FAIL gf-order2")
 
 
+@pytest.mark.parametrize("s", ["0,0.2,0", "0,0.2,0.1"])
+def test_verify_gf_order2_passes_without_origin_residues(s, capsys):
+    # s0 = 0 leaves no order-1 origin residue; with level 1 at s1 s2 the
+    # identity closes
+    assert run_cli("verify", "gf-order2", "--s", s) == 0
+    assert capsys.readouterr().out.startswith("PASS gf-order2")
+
+
+@pytest.mark.filterwarnings("error::numpy.exceptions.ComplexWarning")
+@pytest.mark.parametrize("argv", [
+    ("gf-order1", "--rho", "0.9", "--xi", "0.9", "--s", "0.9,0.9,0.5"),
+    ("gf-order1", "--rho", "0.9", "--xi", "0.9", "--s", "0.3,0.5,0.9"),
+    ("gf-order2", "--rho", "0.9", "--xi", "0.9", "--s", "0.9,0.9,0.5"),
+])
+def test_verify_off_branch_right_side_is_a_numerical_failure(argv, capsys):
+    # the kernel radicand goes negative on the mesh: no gap is printed
+    assert run_cli("verify", *argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("lame3trf: numerical failure:")
+    assert "right side is complex" in captured.err
+
+
 def test_verify_csv_report_file(tmp_path, capsys):
     out = tmp_path / "kernels.csv"
     assert run_cli("verify", "kernels", "--out", str(out)) == 0

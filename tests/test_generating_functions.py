@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from lame3trf.scalar_kernels import (
+    ConvergenceError,
     InvalidParameterError,
     SingularValueError,
     gauss_2f1,
@@ -79,6 +80,14 @@ def ref_trailing(s, order_n, a_max):
     return table
 
 
+def ref_resummed_factor(s):
+    """prod_{k >= 2} 1/(1 - s_k...s_K) of the order-1 right side and residue."""
+    out = 1.0
+    for k in range(2, s.K + 1):
+        out /= 1 - s_partial_product(s, k, s.K)
+    return out
+
+
 def _f21_terminating(n_top, c, x):
     """Terminating 2F1(-n_top, c; 1; x) on an ndarray argument, by Horner steps."""
     acc = np.ones_like(x)
@@ -125,9 +134,7 @@ def ref_origin_residue(params, lam, weights, pt, grid, op_power):
     """Order-1 origin residue: coefficient of v^(n-1) by a double (j, k) loop."""
     s, a_max = weights.s, weights.A_max
     s_eff = s_partial_product(s, 1, s.K)
-    prefactor = 1.0
-    for k in range(2, s.K + 1):
-        prefactor /= 1 - s_partial_product(s, k, s.K)
+    prefactor = ref_resummed_factor(s)
     gw = ref_chain_weights(weights.gamma, a_max)
     mult = diag_operator_multipliers(params, lam / 2, op_power, a_max)
     t, u, w = ref_mesh(grid.levels[0])
@@ -247,6 +254,65 @@ def test_lhs_matches_mpmath_chain_sum(order_n, lam, opp, a_max, s):
     assert lhs == pytest.approx(
         oracle_chain_sum(STD, lam, weights, pt, order_n, opp), rel=1e-13, abs=0
     )
+
+
+def oracle_origin_residue(params, lam, weights, pt, op_power):
+    """Order-1 origin residue as minus the 40-digit chain sum over alpha_1 < alpha_0.
+
+    The oracle's level sum keeps only the inner powers i <= alpha_1 of these
+    chains, the part that the resummed right side adds and the left side lacks.
+    """
+    from chain_oracle import mp_chain_term
+
+    s, a_max = weights.s, weights.A_max
+    gw = ref_chain_weights(weights.gamma, a_max)
+    s_eff = s_partial_product(s, 1, s.K)
+    total = 0
+    for a0 in range(a_max + 1):
+        for a1 in range(a0):
+            weight = gw[a0] * s[0] ** a0 * s_eff**a1
+            if weight != 0:
+                total += weight * mp_chain_term(params, lam, (a0, a1), pt, op_power)
+    return -ref_resummed_factor(s) * float(total)
+
+
+@pytest.mark.parametrize("rho,xi", [(0.5, 0.1), (0.9, 0.9)])
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+@pytest.mark.parametrize("s", [(0.3, 0.2, 0.1), (0.3, 0.0, 0.1)])
+def test_origin_residue_matches_mpmath_chain_sum(rho, xi, lam, s):
+    pytest.importorskip("mpmath")
+    params = LameParams(rho=rho, alpha=3.0, h=1.0)
+    pt = EvaluationPoint.from_xi(xi, rho=rho)
+    weights = GFWeights(lam + 0.75, SParameters(s), 7, 2)
+    for opp in (1, 2):
+        got = gf_order1_origin_residue(params, lam, weights, pt, op_power=opp)
+        want = oracle_origin_residue(params, lam, weights, pt, opp)
+        assert got == pytest.approx(want, rel=1e-14, abs=0), opp
+
+
+def test_origin_residue_takes_no_quadrature():
+    # the residue is an exact level map: a passed grid is only checked
+    w = GFWeights(0.75, S_STD, 24, 2)
+    values = {gf_order1_origin_residue(STD, 0.0, w, PT, grid, 1).hex()
+              for grid in (None, make_quadrature_grid(0.0, 1, nodes=16),
+                           make_quadrature_grid(0.0, 1, nodes=64))}
+    assert len(values) == 1
+    with pytest.raises(InvalidParameterError, match="indicial exponent"):
+        gf_order1_origin_residue(STD, 0.0, w, PT, make_quadrature_grid(0.5, 1, nodes=16))
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+def test_order1_corrected_identity_at_large_eta(lam):
+    # eta = -0.656 at (rho, xi) = (0.9, 0.9)
+    params = LameParams(rho=0.9, alpha=3.0, h=1.0)
+    pt = EvaluationPoint.from_xi(0.9, rho=0.9)
+    weights = GFWeights(lam + 0.75, S_STD, 24, 2)
+    grid = make_quadrature_grid(lam, 1, nodes=64)
+    for opp in (1, 2):
+        lhs = gf_lhs_order(params, lam, weights, pt, 1, grid=grid, op_power=opp)
+        rhs = gf_rhs_order(params, lam, weights, pt, 1, grid, opp)
+        fix = gf_order1_origin_residue(params, lam, weights, pt, grid, opp)
+        assert abs(lhs - rhs - fix) <= 1e-12, opp
 
 
 def test_order2_tail_matches_mpmath_chain_term():
@@ -583,6 +649,29 @@ def test_gf_order2_all_s_zero_identity():
     lhs = gf_lhs_order(STD, 0.0, w, PT, 2, grid=grid)
     rhs = gf_rhs_order(STD, 0.0, w, PT, 2, grid)
     assert rhs == pytest.approx(lhs, rel=1e-9)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+def test_gf_order2_closes_when_only_level1_is_weighted(lam):
+    # s = (0, s1, 0) has no origin residue; summing alpha_2 >= alpha_1 first
+    # carries s2^alpha_1 into level 1, so level 1 runs at s1 s2
+    w = GFWeights(lam + 0.75, SParameters((0.0, 0.2, 0.0)), 12, 2)
+    grid = make_quadrature_grid(lam, 2, nodes=32, contour_m=256)
+    for opp in (1, 2):
+        assert gf_verify_order(STD, lam, w, PT, 2, grid=grid, op_power=opp).gap <= 1e-15
+
+
+@pytest.mark.filterwarnings("error::numpy.exceptions.ComplexWarning")
+@pytest.mark.parametrize("order_n", [1, 2])
+def test_gf_rhs_off_branch_raises(order_n):
+    # at eta = -0.656 the kernel radicand (1 - S)^2 + 4 S X is negative on
+    # part of the top-level mesh; the closed form does not hold there
+    params = LameParams(rho=0.9, alpha=3.0, h=1.0)
+    pt = EvaluationPoint.from_xi(0.9, rho=0.9)
+    w = GFWeights(0.75, SParameters((0.9, 0.9, 0.5)), 10, 2)
+    grid = make_quadrature_grid(0.0, order_n, nodes=32, contour_m=256)
+    with pytest.raises(ConvergenceError, match="right side is complex"):
+        gf_rhs_order(params, 0.0, w, pt, order_n, grid)
 
 
 # ---------------------------------------------------------------- gf_remark

@@ -492,6 +492,24 @@ def test_y_n_term_closed_matches_mpmath_oracle(rho, xi, lam):
             assert got == pytest.approx(want, rel=1e-14, abs=0), (chain, opp)
 
 
+@pytest.mark.parametrize("rho,xi", [(0.5, 0.1), (0.9, 0.9)])
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+def test_y_n_term_contour_route_matches_mpmath_oracle(rho, xi, lam):
+    # the contour route keeps the radius-0.8 level transfer; on longer
+    # chains such as (5, 8, 12) it loses more, up to about 6e-10
+    pytest.importorskip("mpmath")
+    from chain_oracle import mp_chain_term
+
+    params = LameParams(rho=rho, alpha=3.0, h=1.0)
+    pt = EvaluationPoint.from_xi(xi, rho=rho)
+    grid = make_quadrature_grid(lam, 2, nodes=32, contour_m=256)
+    for chain in ((1, 1, 2), (3, 5), (2, 4, 6)):
+        for opp in (1, 2):
+            got = y_n_term(params, lam, len(chain) - 1, AlphaChain(chain), pt, grid, opp)
+            want = float(mp_chain_term(params, lam, chain, pt, opp))
+            assert got == pytest.approx(want, rel=1e-13, abs=0), (chain, opp)
+
+
 # ------------------------------------------------------------------ y_total
 
 def test_y_total_order_zero_only():
