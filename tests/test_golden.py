@@ -1,5 +1,6 @@
-"""Golden outputs: the criterion-11 commands plus the order-1 and order-2
-verify reports, compared against the committed files in tests/golden/.
+"""Golden outputs: the criterion-11 commands plus the lemma1, ode, kernels,
+order-1 and order-2 verify reports and the kernels CSV rows, compared
+against the committed files in tests/golden/.
 
 Non-numeric text must match exactly; every number must agree within 1e-15
 relative, so a refactor that moves a last bit is caught as well as one that
@@ -31,6 +32,10 @@ GOLDEN_COMMANDS = (
      ["sweep", "gf-order0", "--grid", "s0=0.1,0.3", "--format", "csv"], 0),
     ("verify-gf1.json", ["verify", "gf-order1", "--format", "json"], 1),
     ("verify-gf2.json", ["verify", "gf-order2", "--format", "json"], 1),
+    ("verify-lemma1.json", ["verify", "lemma1", "--format", "json"], 0),
+    ("verify-ode.json", ["verify", "ode", "--format", "json"], 0),
+    ("verify-kernels.json", ["verify", "kernels", "--format", "json"], 0),
+    ("verify-kernels.csv", ["verify", "kernels", "--format", "csv"], 0),
 )
 
 _NUMBER = re.compile(
