@@ -14,8 +14,9 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import partial
+from operator import itemgetter
 
 import numpy as np
 
@@ -41,15 +42,7 @@ from .generating_functions import GFWeights, gf_verify_order, kernel_A, kernel_B
 
 __all__ = ["RunConfig", "main", "run", "sweep_table"]
 
-_SWEEP_TARGETS = ("eval-series", "gf-order0")
 _RESIDUE_SEED = 20240817
-
-_GF_ORDER_DEFAULTS = {
-    # order: (a_max, nodes, contour_m, tolerance)
-    0: (60, 64, 512, 1e-8),
-    1: (30, 64, 512, 1e-6),
-    2: (10, 32, 256, 1e-4),
-}
 
 
 class UsageError(Exception):
@@ -81,6 +74,41 @@ class RunConfig:
     out: str | None = None
     full_grid: bool = False
     grid_axes: dict = field(default_factory=dict)
+
+
+# The option set: flag, config-file key, RunConfig field, type, help.  It
+# drives argparse, the config-file keys and their type checks, the
+# flag-over-file merge and the JSON params block (the float, int and tuple
+# options).  tuple is the chain weights, "s0,s1,..." or a list of numbers;
+# list is the repeatable sweep axis, each entry "name=v1,v2,...".
+_OPTIONS = (
+    ("--rho", "rho", "rho", float, None),
+    ("--h", "h", "h", float, None),
+    ("--alpha", "alpha", "alpha", float, None),
+    ("--lambda", "lambda", "lam", float, "indicial exponent, 0 or 0.5"),
+    ("--xi", "xi", "xi", float, None),
+    ("--z", "z", "z", float, None),
+    ("--N", "N", "n_terms", int, None),
+    ("--s", "s", "s", tuple, 'comma-separated chain weights "s0,s1,..."'),
+    ("--gamma", "gamma", "gamma", float, None),
+    ("--K", "K", "k", int, None),
+    ("--nmax", "nmax", "n_max", int, None),
+    ("--amax", "amax", "a_max", int, None),
+    ("--nodes", "nodes", "nodes", int, None),
+    ("--contour-m", "contour_m", "contour_m", int, None),
+    ("--tol", "tol", "tol", float, None),
+    ("--format", "format", "fmt", str, "csv or json"),
+    ("--out", "out", "out", str, None),
+    ("--full-grid", "full_grid", "full_grid", bool,
+     "lemma1: include the slow-converging grid points"),
+    ("--grid", "grid", "grid_axes", list, 'sweep axis "name=v1,v2,..." (repeatable)'),
+)
+_COMMAND_ONLY = {"--full-grid": "verify", "--grid": "sweep"}
+_FLAG_KWARGS = {
+    bool: {"action": "store_const", "const": True},
+    list: {"action": "append"},
+    tuple: {"type": str},
+}
 
 
 # --------------------------------------------------------------- formatting
@@ -119,46 +147,24 @@ def _emit(text, out):
 
 
 def _params_dict(cfg, **extra):
-    """Effective parameters for the machine-readable report."""
-    d = {
-        "rho": float(cfg.rho),
-        "h": float(cfg.h),
-        "alpha": float(cfg.alpha),
-        "lambda": float(cfg.lam),
-        "xi": float(cfg.xi),
-        "z": None if cfg.z is None else float(cfg.z),
-        "n_terms": None if cfg.n_terms is None else int(cfg.n_terms),
-        "s": [float(v) for v in cfg.s],
-        "gamma": None if cfg.gamma is None else float(cfg.gamma),
-        "k": len(cfg.s) - 1,
-        "n_max": int(cfg.n_max),
-        "a_max": None if cfg.a_max is None else int(cfg.a_max),
-        "nodes": None if cfg.nodes is None else int(cfg.nodes),
-        "contour_m": None if cfg.contour_m is None else int(cfg.contour_m),
-        "tol": None if cfg.tol is None else float(cfg.tol),
-    }
+    """Effective numeric parameters for the machine-readable report."""
+    d = {}
+    for _, _, name, typ, _ in _OPTIONS:
+        if typ in (float, int, tuple):
+            value = getattr(cfg, name)
+            if typ is tuple:
+                value = [float(v) for v in value]
+            elif value is not None:
+                value = typ(value)
+            d["lambda" if name == "lam" else name] = value
     d.update(extra)
     return d
 
 
-def _report_obj(command, params, lhs, rhs, gap, tail, ok):
-    return {
-        "command": command,
-        "params": params,
-        "lhs_re": float(np.real(lhs)),
-        "lhs_im": float(np.imag(lhs)),
-        "rhs_re": float(np.real(rhs)),
-        "rhs_im": float(np.imag(rhs)),
-        "gap": float(gap),
-        "tail_estimate": float(tail),
-        "pass": bool(ok),
-    }
-
-
-def _emit_record(cfg, header, row, fields, **params):
+def _emit_record(cfg, header, row, fields):
     """One-record output: a single CSV row, or a JSON report holding fields."""
     if cfg.fmt == "json":
-        obj = {"command": cfg.command, "params": _params_dict(cfg, **params)}
+        obj = {"command": cfg.command, "params": _params_dict(cfg)}
         obj.update(fields)
         _emit(_json_text(obj), cfg.out)
     else:
@@ -166,47 +172,31 @@ def _emit_record(cfg, header, row, fields, **params):
     return 0
 
 
-def _emit_verify(cfg, name, ok, summary, report, header, rows):
-    sys.stdout.write(("PASS " if ok else "FAIL ") + name + ": " + summary + "\n")
-    if cfg.fmt == "json":
-        _emit(_json_text(report), cfg.out)
-    elif cfg.out is not None:
-        _emit(_csv_text(header, rows), cfg.out)
-    return 0 if ok else 1
-
-
 # ------------------------------------------------------------ config plumbing
 
-_FILE_KEYS = {
-    "rho": "rho", "h": "h", "alpha": "alpha", "lambda": "lam", "xi": "xi",
-    "z": "z", "N": "n_terms", "s": "s", "gamma": "gamma", "K": "k",
-    "nmax": "n_max", "amax": "a_max", "nodes": "nodes",
-    "contour_m": "contour_m", "tol": "tol", "format": "fmt", "out": "out",
-    "full_grid": "full_grid", "grid": "grid_axes",
-}
-
-
 def _parse_s(raw):
-    if isinstance(raw, (list, tuple)):
-        vals = [float(v) for v in raw]
-    else:
-        try:
+    try:
+        if isinstance(raw, (list, tuple)):
+            vals = [float(v) for v in raw]
+        else:
             vals = [float(p) for p in str(raw).split(",") if p.strip() != ""]
-        except ValueError as exc:
-            raise UsageError(f"cannot parse --s value {raw!r}") from exc
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"cannot parse --s value {raw!r}") from exc
     if not vals:
         raise UsageError("--s needs at least one value")
     return tuple(vals)
 
 
 def _parse_grid_axes(entries, s_len):
+    if not isinstance(entries, (list, tuple, dict)):
+        raise UsageError(f"grid must be a list of name=v1,v2,... strings, got {entries!r}")
     axes = {}
     allowed = {"rho", "h", "alpha", "xi"} | {f"s{i}" for i in range(s_len)}
     for entry in entries:
         if isinstance(entries, dict):
             name, vals = entry, entries[entry]
         else:
-            name, _, tail = entry.partition("=")
+            name, _, tail = str(entry).partition("=")
             if not tail:
                 raise UsageError(f"grid axis {entry!r} is not name=v1,v2,...")
             vals = tail.split(",")
@@ -224,6 +214,26 @@ def _parse_grid_axes(entries, s_len):
     return axes
 
 
+def _file_value(key, typ, value):
+    """A config-file value converted with its option's type, as its flag's
+    is; the chain weights and sweep axes go to their parsers as they are."""
+    try:
+        if value is None or isinstance(value, bool) != (typ is bool):
+            raise TypeError(value)
+        if typ in (tuple, list):
+            return value
+        if typ is str and not isinstance(value, str):
+            raise TypeError(value)
+        converted = typ(value)
+        if typ is int and not isinstance(value, str) and converted != value:
+            raise ValueError(value)
+        return converted
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise UsageError(
+            f"config key {key!r} needs a {typ.__name__} value, got {value!r}"
+        ) from exc
+
+
 def _load_config_file(path):
     try:
         with open(path) as fh:
@@ -234,29 +244,23 @@ def _load_config_file(path):
         raise UsageError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise UsageError("config file must hold a flat JSON object")
-    unknown = sorted(set(data) - set(_FILE_KEYS))
+    unknown = sorted(set(data) - {key for _, key, *_ in _OPTIONS})
     if unknown:
         raise UsageError(f"unknown config keys: {', '.join(unknown)}")
     return data
 
 
 def _build_config(args):
+    """Flags over config-file values over the RunConfig defaults."""
     cfg = RunConfig(command=args.command, target=getattr(args, "target", None))
-    if getattr(args, "config", None) is not None:
-        data = _load_config_file(args.config)
-        for key, value in data.items():
-            setattr(cfg, _FILE_KEYS[key], value)
-    for name in (
-        "rho", "h", "alpha", "lam", "xi", "z", "n_terms", "s", "gamma", "k",
-        "n_max", "a_max", "nodes", "contour_m", "tol", "fmt", "out", "full_grid",
-    ):
+    data = {} if args.config is None else _load_config_file(args.config)
+    for _, key, name, typ, _ in _OPTIONS:
         value = getattr(args, name, None)
+        if value is None and key in data:
+            value = _file_value(key, typ, data[key])
         if value is not None:
             setattr(cfg, name, value)
-    if getattr(args, "grid", None):
-        cfg.grid_axes = _parse_grid_axes(args.grid, len(_parse_s(cfg.s)))
-    elif cfg.grid_axes:
-        cfg.grid_axes = _parse_grid_axes(dict(cfg.grid_axes), len(_parse_s(cfg.s)))
+    cfg.grid_axes = _parse_grid_axes(cfg.grid_axes, len(_parse_s(cfg.s)))
     return cfg
 
 
@@ -272,11 +276,12 @@ def _validate(cfg):
         raise UsageError(
             f"--K {cfg.k} does not match the {len(cfg.s)} supplied s values"
         )
-    for name in ("n_terms", "a_max", "nodes", "contour_m"):
+    cfg.k = len(cfg.s) - 1
+    for _, _, name, typ, _ in _OPTIONS:
         value = getattr(cfg, name)
-        if value is not None and int(value) < 1:
-            raise UsageError(f"{name} must be positive")
-        if value is not None:
+        if typ is int and name not in ("k", "n_max") and value is not None:
+            if int(value) < 1:
+                raise UsageError(f"{name} must be positive")
             setattr(cfg, name, int(value))
     if cfg.n_max < 0:
         raise UsageError("nmax must be nonnegative")
@@ -300,6 +305,11 @@ def _validate(cfg):
     return params
 
 
+def _with_defaults(cfg, defaults):
+    """A copy of cfg that takes each option it leaves unset from defaults."""
+    return replace(cfg, **{k: v for k, v in defaults.items() if getattr(cfg, k) is None})
+
+
 def _point(cfg):
     return EvaluationPoint.from_xi(cfg.xi, cfg.rho, z=cfg.z)
 
@@ -307,23 +317,22 @@ def _point(cfg):
 # ------------------------------------------------------------- eval commands
 
 _SERIES_HEADER = ["rho", "h", "alpha", "lam", "xi", "n_terms", "value"]
+_SERIES_DEFAULTS = {"n_terms": 40}
 
 
 def _series_row(cfg, params, pt):
-    """Series value at pt as a row under _SERIES_HEADER (40 terms by default)."""
-    n = 40 if cfg.n_terms is None else cfg.n_terms
-    series = series_coefficients(params, cfg.lam, 1.0, n)
+    """Series value at pt as a row under _SERIES_HEADER."""
+    series = series_coefficients(params, cfg.lam, 1.0, cfg.n_terms)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         value = eval_series(series, pt)
-    return [cfg.rho, cfg.h, cfg.alpha, cfg.lam, cfg.xi, n, value]
+    return [cfg.rho, cfg.h, cfg.alpha, cfg.lam, cfg.xi, cfg.n_terms, value]
 
 
 def _run_eval_series(cfg, params):
+    cfg = _with_defaults(cfg, _SERIES_DEFAULTS)
     row = _series_row(cfg, params, _point(cfg))
-    return _emit_record(
-        cfg, _SERIES_HEADER, row, {"value": float(row[-1])}, n_terms=row[5]
-    )
+    return _emit_record(cfg, _SERIES_HEADER, row, {"value": float(row[-1])})
 
 
 def _run_eval_sn(cfg, params):
@@ -337,32 +346,25 @@ def _run_eval_sn(cfg, params):
 
 
 def _run_heun_map(cfg, params):
-    hp = heun_correspondence(params)
-    header = [
-        "rho", "h", "alpha", "gamma", "delta", "epsilon", "a",
-        "alpha_h", "beta_h", "q",
-    ]
-    row = [
-        cfg.rho, cfg.h, cfg.alpha, hp.gamma, hp.delta, hp.epsilon, hp.a,
-        hp.alpha_h, hp.beta_h, hp.q,
-    ]
-    heun = {
-        "gamma": hp.gamma, "delta": hp.delta, "epsilon": hp.epsilon,
-        "a": hp.a, "alpha_h": hp.alpha_h, "beta_h": hp.beta_h, "q": hp.q,
-    }
+    heun = asdict(heun_correspondence(params))
+    header = ["rho", "h", "alpha", *heun]
+    row = [cfg.rho, cfg.h, cfg.alpha, *heun.values()]
     return _emit_record(cfg, header, row, {"heun": heun})
 
 
 # ----------------------------------------------------------- verify targets
+#
+# Each check returns (header, rows, (lhs, rhs, gap) at the worst point, tail,
+# summary, extra params); the last cell of a row says whether it passed, and
+# the worst point is the first row with the largest gap.
+
 
 def _verify_lemma1(cfg, params):
-    n = 60 if cfg.n_terms is None else cfg.n_terms
-    tol = 1e-9 if cfg.tol is None else cfg.tol
     pairs = ((0.75, 0.25), (1.25, 0.75), (1.3, 0.6))
     ws = (-0.3, -0.1, 0.1, 0.3)
     xs = (-0.4, 0.0, 0.3)
     header = ["gamma", "a_param", "w", "x", "n_terms", "lhs", "rhs", "gap", "passed"]
-    rows, worst = [], None
+    rows = []
     for gamma, a_param in pairs:
         for w in ws:
             for x in xs:
@@ -371,65 +373,41 @@ def _verify_lemma1(cfg, params):
                 # n=60; the default grid keeps the fast-converging points
                 if not cfg.full_grid and x == -0.4 and abs(w) > 0.25:
                     continue
-                res = lemma1_identity(gamma, a_param, w, x, n)
-                ok = res["gap"] < tol
-                rows.append(
-                    [gamma, a_param, w, x, n, res["lhs"], res["rhs"], res["gap"], ok]
-                )
-                if worst is None or res["gap"] > worst[2]:
-                    worst = (res["lhs"], res["rhs"], res["gap"])
-    ok = all(r[-1] for r in rows)
-    summary = f"points={len(rows)} max_gap={worst[2]:.3e} tol={tol:g}"
-    report = _report_obj(
-        "verify lemma1", _params_dict(cfg, n_terms=n, tol=tol, full_grid=cfg.full_grid),
-        worst[0], worst[1], worst[2], 0.0, ok,
-    )
-    return _emit_verify(cfg, "lemma1", ok, summary, report, header, rows)
+                res = lemma1_identity(gamma, a_param, w, x, cfg.n_terms)
+                rows.append([gamma, a_param, w, x, cfg.n_terms, res["lhs"],
+                             res["rhs"], res["gap"], res["gap"] < cfg.tol])
+    worst = max(rows, key=itemgetter(7))
+    summary = f"points={len(rows)} max_gap={worst[7]:.3e} tol={cfg.tol:g}"
+    return header, rows, worst[5:8], 0.0, summary, {"full_grid": cfg.full_grid}
 
 
 def _verify_ode(cfg, params):
-    n = 40 if cfg.n_terms is None else cfg.n_terms
-    tol = 1e-12 if cfg.tol is None else cfg.tol
-    header = [
-        "rho", "h", "alpha", "lam", "xi", "n_terms",
-        "residual", "scale", "rel_residual", "passed",
-    ]
-    rows, worst = [], None
+    header = ["rho", "h", "alpha", "lam", "xi", "n_terms", "residual", "scale",
+              "rel_residual", "passed"]
+    rows = []
     for h in (0.0, 1.0):
         for alpha in (0.0, 3.0, 7.0):
             for lam in (0.0, 0.5):
                 p = LameParams(rho=cfg.rho, alpha=alpha, h=h)
-                series = series_coefficients(p, lam, 1.0, n)
+                series = series_coefficients(p, lam, 1.0, cfg.n_terms)
                 pt = EvaluationPoint.from_xi(cfg.xi, cfg.rho)
                 res = ode_residual(p, series, pt, "algebraic")
                 y, yp, ypp = eval_series_derivatives(series, cfg.xi)
                 scale = max(abs(y), abs(yp), abs(ypp), 1e-300)
                 rel = abs(res) / scale
-                ok = rel < tol
-                rows.append(
-                    [cfg.rho, h, alpha, lam, cfg.xi, n, res, scale, rel, ok]
-                )
-                if worst is None or rel > worst[2]:
-                    worst = (res, 0.0, rel)
-    ok = all(r[-1] for r in rows)
-    summary = f"points={len(rows)} max_rel_residual={worst[2]:.3e} tol={tol:g}"
-    report = _report_obj(
-        "verify ode", _params_dict(cfg, n_terms=n, tol=tol),
-        worst[0], worst[1], worst[2], 0.0, ok,
-    )
-    return _emit_verify(cfg, "ode", ok, summary, report, header, rows)
+                rows.append([cfg.rho, h, alpha, lam, cfg.xi, cfg.n_terms, res,
+                             scale, rel, rel < cfg.tol])
+    worst = max(rows, key=itemgetter(8))
+    summary = f"points={len(rows)} max_rel_residual={worst[8]:.3e} tol={cfg.tol:g}"
+    return header, rows, (worst[6], 0.0, worst[8]), 0.0, summary, {}
 
 
 def _verify_residue(cfg, params):
-    m = 512 if cfg.contour_m is None else cfg.contour_m
-    tol = 1e-10 if cfg.tol is None else cfg.tol
     e = 0.25 + cfg.lam
     rng = np.random.default_rng(_RESIDUE_SEED)
-    header = [
-        "sample", "s", "t", "u", "eta",
-        "quad_re", "quad_im", "closed", "gap", "passed",
-    ]
-    rows, worst = [], None
+    header = ["sample", "s", "t", "u", "eta", "quad_re", "quad_im", "closed", "gap",
+              "passed"]
+    rows = []
     for idx in range(100):
         s = rng.uniform(0.02, 0.3)
         t = rng.uniform(0.05, 0.95)
@@ -437,25 +415,20 @@ def _verify_residue(cfg, params):
         eta = rng.uniform(-0.2, -0.01)
         x = eta * (1 - t) * (1 - u)
         quad = contour_integral(
-            lambda v: -((1 - x * v) ** -e) / (x * v * v + (s - 1) * v - s), m
+            lambda v: -((1 - x * v) ** -e) / (x * v * v + (s - 1) * v - s),
+            cfg.contour_m,
         )
         root = _principal_sqrt((1 - s) ** 2 + 4 * x * s)
         closed = ((1 + s + root) / 2) ** -e / root
         gap = abs(quad - closed)
-        ok = gap < tol
-        rows.append([idx, s, t, u, eta, quad.real, quad.imag, closed, gap, ok])
-        if worst is None or gap > worst[2]:
-            worst = (quad, closed, gap)
-    ok = all(r[-1] for r in rows)
-    summary = f"samples={len(rows)} max_gap={worst[2]:.3e} tol={tol:g}"
-    report = _report_obj(
-        "verify residue", _params_dict(cfg, contour_m=m, tol=tol),
-        worst[0], worst[1], worst[2], 0.0, ok,
-    )
-    return _emit_verify(cfg, "residue", ok, summary, report, header, rows)
+        rows.append([idx, s, t, u, eta, quad.real, quad.imag, closed, gap, gap < cfg.tol])
+    worst = max(rows, key=itemgetter(8))
+    summary = f"samples={len(rows)} max_gap={worst[8]:.3e} tol={cfg.tol:g}"
+    lhs = complex(worst[5], worst[6])
+    return header, rows, (lhs, worst[7], worst[8]), 0.0, summary, {}
 
 
-def _gf_row_header(cfg):
+def _gf_header(cfg):
     s_cols = [f"s{i}" for i in range(len(cfg.s))]
     return (
         ["rho", "h", "alpha", "lam", "xi", "gamma"] + s_cols
@@ -463,64 +436,42 @@ def _gf_row_header(cfg):
     )
 
 
-def _gf_row(cfg, a_max, op_power, rep, ok):
-    return (
-        [cfg.rho, cfg.h, cfg.alpha, cfg.lam, cfg.xi, cfg.gamma] + list(cfg.s)
-        + [a_max, op_power, rep.lhs, rep.rhs, rep.gap, rep.truncation_estimate, ok]
+def _gf_row(cfg, params, order_n, op_power):
+    """One generating-identity check as a row under _gf_header(cfg)."""
+    weights = GFWeights(cfg.gamma, SParameters(cfg.s), cfg.a_max, len(cfg.s) - 1)
+    grid = None if order_n == 0 else make_quadrature_grid(
+        cfg.lam, order_n, nodes=cfg.nodes, contour_m=cfg.contour_m
     )
-
-
-def _gf_report(cfg, order_n, a_max, nodes, m, op_power):
-    params = LameParams(rho=cfg.rho, alpha=cfg.alpha, h=cfg.h)
-    weights = GFWeights(cfg.gamma, SParameters(cfg.s), a_max, len(cfg.s) - 1)
-    grid = None
-    if order_n >= 1:
-        grid = make_quadrature_grid(cfg.lam, order_n, nodes=nodes, contour_m=m)
-    return gf_verify_order(
+    rep = gf_verify_order(
         params, cfg.lam, weights, _point(cfg), order_n,
         grid=grid, op_power=op_power,
+    )
+    return (
+        [cfg.rho, cfg.h, cfg.alpha, cfg.lam, cfg.xi, cfg.gamma] + list(cfg.s)
+        + [cfg.a_max, op_power, rep.lhs, rep.rhs, rep.gap, rep.truncation_estimate,
+           rep.passes(cfg.tol)]
     )
 
 
 def _verify_gf_order(cfg, params, order_n):
-    d_amax, d_nodes, d_m, d_tol = _GF_ORDER_DEFAULTS[order_n]
-    a_max = d_amax if cfg.a_max is None else cfg.a_max
-    nodes = d_nodes if cfg.nodes is None else cfg.nodes
-    m = d_m if cfg.contour_m is None else cfg.contour_m
-    tol = d_tol if cfg.tol is None else cfg.tol
     if order_n > len(cfg.s) - 1:
         raise UsageError(f"order {order_n} needs at least {order_n + 1} s values")
-    name = f"gf-order{order_n}"
-    pdict = _params_dict(
-        cfg, a_max=a_max, nodes=nodes, contour_m=m, tol=tol, op_power=2
-    )
+    # both sides apply the same operator, so at order 1 the identity must
+    # close at both operator powers; the report shows power 2
+    powers = (1, 2) if order_n == 1 else (2,)
+    rows = [_gf_row(cfg, params, order_n, p) for p in powers]
+    lhs, rhs, gap, tail = rows[-1][-5:-1]
     if order_n == 1:
-        # both sides apply the same operator, so the identity must close at
-        # both operator powers
-        reps = {p: _gf_report(cfg, 1, a_max, nodes, m, p) for p in (1, 2)}
-        passing = [p for p, rep in reps.items() if rep.passes(tol)]
-        ok = len(passing) == 2
         summary = (
-            f"gap(op_power=1)={reps[1].gap:.3e} gap(op_power=2)={reps[2].gap:.3e} "
-            f"tol={tol:g} powers_passing={len(passing)} (need both)"
+            f"gap(op_power=1)={rows[0][-3]:.3e} gap(op_power=2)={gap:.3e} "
+            f"tol={cfg.tol:g} powers_passing={sum(r[-1] for r in rows)} (need both)"
         )
-        rep = reps[2]
-        rows = [_gf_row(cfg, a_max, p, reps[p], reps[p].passes(tol)) for p in (1, 2)]
     else:
-        rep = _gf_report(cfg, order_n, a_max, nodes, m, 2)
-        ok = rep.passes(tol)
-        summary = f"gap={rep.gap:.3e} tol={tol:g} tail={rep.truncation_estimate:.3e}"
-        rows = [_gf_row(cfg, a_max, 2, rep, ok)]
-    report = _report_obj(
-        f"verify {name}", pdict, rep.lhs, rep.rhs, rep.gap,
-        rep.truncation_estimate, ok,
-    )
-    return _emit_verify(cfg, name, ok, summary, report, _gf_row_header(cfg), rows)
+        summary = f"gap={gap:.3e} tol={cfg.tol:g} tail={tail:.3e}"
+    return _gf_header(cfg), rows, (lhs, rhs, gap), tail, summary, {"op_power": 2}
 
 
 def _verify_kernels(cfg, params):
-    n = 60 if cfg.n_terms is None else cfg.n_terms
-    tol = 1e-9 if cfg.tol is None else cfg.tol
     reduction_tol = 1e-14
     families = (
         ("first", 0.75, 0.0, 2.0**-0.75, kernel_A),
@@ -529,64 +480,77 @@ def _verify_kernels(cfg, params):
     s_vals = (-0.3, -0.2, -0.1, 0.0, 0.1, 0.2, 0.3)
     x_vals = (-0.2, -0.15, -0.1, -0.05, -0.0025, 0.0)
     header = ["family", "check", "s", "x", "n_terms", "lhs", "rhs", "gap", "tol", "passed"]
-    rows, worst = [], None
+    rows = []
     for fam, gamma, lam, pref, kernel in families:
         for s in s_vals:
             for x in x_vals:
                 # terms (gamma)_a/a! s^a 2F1(-a, a + 1/4 + lam; 3/4 + lam; x)
-                total = lemma1_identity(gamma, 0.25 + lam, s, x, n)["lhs"]
+                total = lemma1_identity(gamma, 0.25 + lam, s, x, cfg.n_terms)["lhs"]
                 closed = pref * kernel(s, x)
                 gap = abs(total - closed)
-                ok = gap < tol
-                rows.append([fam, "sum", s, x, n, total, closed, gap, tol, ok])
-                if worst is None or gap > worst[2]:
-                    worst = (total, closed, gap)
+                rows.append([fam, "sum", s, x, cfg.n_terms, total, closed, gap,
+                             cfg.tol, gap < cfg.tol])
         reduction = pref * kernel(0.0, -0.1)
         gap = abs(reduction - 1.0)
         rows.append(
             [fam, "reduction", 0.0, -0.1, 0, reduction, 1.0, gap, reduction_tol,
              gap < reduction_tol]
         )
-    ok = all(r[-1] for r in rows)
+    worst = max((r for r in rows if r[1] == "sum"), key=itemgetter(7))
     red_gap = max(r[7] for r in rows if r[1] == "reduction")
     summary = (
-        f"points={len(rows)} max_gap={worst[2]:.3e} tol={tol:g} "
+        f"points={len(rows)} max_gap={worst[7]:.3e} tol={cfg.tol:g} "
         f"reduction_gap={red_gap:.3e}"
     )
-    report = _report_obj(
-        "verify kernels", _params_dict(cfg, n_terms=n, tol=tol),
-        worst[0], worst[1], worst[2], 0.0, ok,
-    )
-    return _emit_verify(cfg, "kernels", ok, summary, report, header, rows)
+    return header, rows, worst[5:8], 0.0, summary, {}
 
 
+# target: (check, defaults of the options it reads)
 _VERIFY_TARGETS = {
-    "lemma1": _verify_lemma1,
-    "ode": _verify_ode,
-    "residue": _verify_residue,
-    "gf-order0": partial(_verify_gf_order, order_n=0),
-    "gf-order1": partial(_verify_gf_order, order_n=1),
-    "gf-order2": partial(_verify_gf_order, order_n=2),
-    "kernels": _verify_kernels,
+    "lemma1": (_verify_lemma1, {"n_terms": 60, "tol": 1e-9}),
+    "ode": (_verify_ode, {"n_terms": 40, "tol": 1e-12}),
+    "residue": (_verify_residue, {"contour_m": 512, "tol": 1e-10}),
+    "gf-order0": (partial(_verify_gf_order, order_n=0),
+                  {"a_max": 60, "nodes": 64, "contour_m": 512, "tol": 1e-8}),
+    "gf-order1": (partial(_verify_gf_order, order_n=1),
+                  {"a_max": 30, "nodes": 64, "contour_m": 512, "tol": 1e-6}),
+    "gf-order2": (partial(_verify_gf_order, order_n=2),
+                  {"a_max": 10, "nodes": 32, "contour_m": 256, "tol": 1e-4}),
+    "kernels": (_verify_kernels, {"n_terms": 60, "tol": 1e-9}),
 }
 
 
 def _run_verify(cfg, params):
+    """One target: PASS when every row passes.  Writes the summary line,
+    then the JSON report, or with --out the CSV rows."""
     if cfg.target not in _VERIFY_TARGETS:
         raise UsageError(f"unknown verify target {cfg.target!r}")
-    return _VERIFY_TARGETS[cfg.target](cfg, params)
+    check, defaults = _VERIFY_TARGETS[cfg.target]
+    cfg = _with_defaults(cfg, defaults)
+    header, rows, (lhs, rhs, gap), tail, summary, extra = check(cfg, params)
+    ok = all(row[-1] for row in rows)
+    sys.stdout.write(f"{'PASS' if ok else 'FAIL'} {cfg.target}: {summary}\n")
+    if cfg.fmt == "json":
+        report = {
+            "command": f"verify {cfg.target}",
+            "params": _params_dict(cfg, **extra),
+            "lhs_re": float(np.real(lhs)),
+            "lhs_im": float(np.imag(lhs)),
+            "rhs_re": float(np.real(rhs)),
+            "rhs_im": float(np.imag(rhs)),
+            "gap": float(gap),
+            "tail_estimate": float(tail),
+            "pass": bool(ok),
+        }
+        _emit(_json_text(report), cfg.out)
+    elif cfg.out is not None:
+        _emit(_csv_text(header, rows), cfg.out)
+    return 0 if ok else 1
 
 
 # ------------------------------------------------------------------- sweep
 
-def _apply_axis(cfg, name, value):
-    if name.startswith("s"):
-        idx = int(name[1:])
-        s = list(cfg.s)
-        s[idx] = value
-        cfg.s = tuple(s)
-    else:
-        setattr(cfg, name, value)
+_SWEEP_TARGETS = ("eval-series", "gf-order0")
 
 
 def sweep_table(cfg):
@@ -594,26 +558,26 @@ def sweep_table(cfg):
     axes = sorted(cfg.grid_axes.items())
     names = [a[0] for a in axes]
     combos = list(itertools.product(*(a[1] for a in axes))) or [()]
-    header, rows, all_ok = None, [], True
+    gf = cfg.target == "gf-order0"
+    rows = []
     for combo in combos:
-        point = replace(cfg, s=tuple(cfg.s), grid_axes={})
+        point, s = replace(cfg, grid_axes={}), list(cfg.s)
         for name, value in zip(names, combo):
-            _apply_axis(point, name, value)
+            if name.startswith("s"):
+                s[int(name[1:])] = value
+            else:
+                setattr(point, name, value)
+        point.s = tuple(s)
         p = LameParams(rho=point.rho, alpha=point.alpha, h=point.h)
-        if cfg.target == "eval-series":
-            header = _SERIES_HEADER
+        if gf:
+            point = _with_defaults(point, _VERIFY_TARGETS["gf-order0"][1])
+            rows.append(_gf_row(point, p, 0, 2))
+        else:
+            point = _with_defaults(point, _SERIES_DEFAULTS)
             pt = EvaluationPoint.from_xi(point.xi, point.rho)
             rows.append(_series_row(point, p, pt))
-        else:  # gf-order0
-            d_amax, d_nodes, d_m, d_tol = _GF_ORDER_DEFAULTS[0]
-            a_max = d_amax if point.a_max is None else point.a_max
-            tol = d_tol if point.tol is None else point.tol
-            rep = _gf_report(point, 0, a_max, d_nodes, d_m, 2)
-            ok = rep.passes(tol)
-            all_ok = all_ok and ok
-            header = _gf_row_header(point)
-            rows.append(_gf_row(point, a_max, 2, rep, ok))
-    return header, rows, all_ok
+    header = _gf_header(cfg) if gf else _SERIES_HEADER
+    return header, rows, not gf or all(r[-1] for r in rows)
 
 
 def _run_sweep(cfg, params):
@@ -634,7 +598,7 @@ def _run_sweep(cfg, params):
         _emit(_json_text(obj), cfg.out)
     else:
         _emit(_csv_text(header, rows), cfg.out)
-    return 0 if (cfg.target == "eval-series" or all_ok) else 1
+    return 0 if all_ok else 1
 
 
 # -------------------------------------------------------------------- driver
@@ -652,29 +616,6 @@ def run(cfg):
     return dispatch[cfg.command](cfg, params)
 
 
-def _add_common(parser):
-    parser.add_argument("--rho", type=float, default=None)
-    parser.add_argument("--h", type=float, default=None)
-    parser.add_argument("--alpha", type=float, default=None)
-    parser.add_argument("--lambda", dest="lam", type=float, default=None,
-                        help="indicial exponent, 0 or 0.5")
-    parser.add_argument("--xi", type=float, default=None)
-    parser.add_argument("--z", type=float, default=None)
-    parser.add_argument("--N", dest="n_terms", type=int, default=None)
-    parser.add_argument("--s", type=str, default=None,
-                        help='comma-separated chain weights "s0,s1,..."')
-    parser.add_argument("--gamma", type=float, default=None)
-    parser.add_argument("--K", dest="k", type=int, default=None)
-    parser.add_argument("--nmax", dest="n_max", type=int, default=None)
-    parser.add_argument("--amax", dest="a_max", type=int, default=None)
-    parser.add_argument("--nodes", type=int, default=None)
-    parser.add_argument("--contour-m", dest="contour_m", type=int, default=None)
-    parser.add_argument("--tol", type=float, default=None)
-    parser.add_argument("--config", type=str, default=None)
-    parser.add_argument("--format", dest="fmt", choices=("csv", "json"), default=None)
-    parser.add_argument("--out", type=str, default=None)
-
-
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="lame3trf",
@@ -683,20 +624,18 @@ def _build_parser():
         allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("eval-series", "eval-sn", "heun-map"):
-        _add_common(sub.add_parser(name))
-    p_verify = sub.add_parser("verify")
-    p_verify.add_argument("target", choices=_VERIFY_TARGETS)
-    p_verify.add_argument("--full-grid", dest="full_grid", action="store_const",
-                          const=True, default=None,
-                          help="lemma1: include the slow-converging grid points")
-    _add_common(p_verify)
-    p_sweep = sub.add_parser("sweep")
-    p_sweep.add_argument("target", nargs="?", default="eval-series",
-                         choices=_SWEEP_TARGETS)
-    p_sweep.add_argument("--grid", action="append", default=None,
-                         help='sweep axis "name=v1,v2,..." (repeatable)')
-    _add_common(p_sweep)
+    for command in ("eval-series", "eval-sn", "heun-map", "verify", "sweep"):
+        p = sub.add_parser(command)
+        if command == "verify":
+            p.add_argument("target", choices=_VERIFY_TARGETS)
+        elif command == "sweep":
+            p.add_argument("target", nargs="?", default="eval-series",
+                           choices=_SWEEP_TARGETS)
+        for flag, _, name, typ, help_text in _OPTIONS:
+            if _COMMAND_ONLY.get(flag, command) == command:
+                kwargs = _FLAG_KWARGS.get(typ, {"type": typ})
+                p.add_argument(flag, dest=name, help=help_text, **kwargs)
+        p.add_argument("--config", help="JSON file of option values")
     return parser
 
 
@@ -710,10 +649,7 @@ def main(argv=None):
     try:
         cfg = _build_config(args)
         return run(cfg)
-    except UsageError as exc:
-        sys.stderr.write(f"lame3trf: error: {exc}\n")
-        return 2
-    except InvalidParameterError as exc:
+    except (UsageError, InvalidParameterError) as exc:
         sys.stderr.write(f"lame3trf: error: {exc}\n")
         return 2
     except (SingularValueError, ConvergenceError) as exc:

@@ -9,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
+from lame3trf import cli
 from lame3trf.cli import main
 from lame3trf.lame_series import (
     EvaluationPoint,
@@ -296,6 +297,122 @@ def test_config_file_list_s_accepted(tmp_path, capsys):
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({"s": [0.1, 0.2, 0.1]}))
     assert run_cli("verify", "gf-order0", "--config", str(cfgfile)) == 0
+
+
+def _outputs(capsys, argv, paths):
+    """Exit code, stdout, and the text of each path (removed after reading)."""
+    code = main(list(argv))
+    texts = [p.read_text() if p.exists() else None for p in paths]
+    for p in paths:
+        p.unlink(missing_ok=True)
+    return code, capsys.readouterr().out, texts
+
+
+# One case per option: flag -> (command, file value, the same value as flag
+# arguments, another file value).
+
+ROUND_TRIPS = {
+    "--rho": (["eval-series"], 0.7, ["0.7"], 0.6),
+    "--h": (["eval-series"], 2.0, ["2"], 0.5),
+    "--alpha": (["eval-series"], 5.0, ["5"], 1.0),
+    "--lambda": (["eval-series"], 0.5, ["0.5"], 0.0),
+    "--xi": (["eval-series"], 0.2, ["0.2"], 0.05),
+    "--z": (["eval-series"], 0.6, ["0.6"], 0.4),
+    "--N": (["eval-series"], 20, ["20"], 30),
+    "--s": (["verify", "gf-order0"], [0.1, 0.2], ["0.1,0.2"], [0.2, 0.1]),
+    "--gamma": (["verify", "gf-order0"], 1.1, ["1.1"], 0.9),
+    "--K": (["verify", "gf-order0"], 2, ["2"], 3),
+    "--nmax": (["eval-series"], 2, ["2"], 1),
+    "--amax": (["verify", "gf-order0"], 30, ["30"], 40),
+    "--nodes": (["verify", "gf-order0"], 16, ["16"], 24),
+    "--contour-m": (["verify", "residue"], 128, ["128"], 256),
+    "--tol": (["verify", "ode"], 1e-3, ["1e-3"], 1e-30),
+    "--format": (["eval-series"], "json", ["json"], "csv"),
+    "--out": (["eval-series"], "a.txt", ["a.txt"], "b.txt"),
+    "--full-grid": (["verify", "lemma1"], True, [], False),
+    "--grid": (["sweep"], ["xi=0.1,0.2"], ["xi=0.1,0.2"], ["h=0,1"]),
+}
+
+
+def test_round_trips_cover_every_option():
+    assert set(ROUND_TRIPS) == {opt[0] for opt in cli._OPTIONS}
+
+
+@pytest.mark.parametrize("flag", sorted(ROUND_TRIPS))
+def test_config_value_round_trips_through_its_flag(flag, tmp_path, monkeypatch, capsys):
+    # a file value gives the same bytes as its flag, and the flag wins over it
+    monkeypatch.chdir(tmp_path)
+    key = next(opt[1] for opt in cli._OPTIONS if opt[0] == flag)
+    command, value, flag_args, other = ROUND_TRIPS[flag]
+    if flag != "--format":
+        command = command + ["--format", "json"]
+    paths = [tmp_path / "a.txt", tmp_path / "b.txt"]
+
+    def config(v):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({key: v}))
+        return ["--config", str(path)]
+
+    flag_argv = [a for v in flag_args or [None] for a in (flag, v) if a is not None]
+    by_flag = _outputs(capsys, command + flag_argv, paths)
+    assert by_flag[1] or any(by_flag[2])
+    assert _outputs(capsys, command + config(value), paths) == by_flag
+    assert _outputs(capsys, command + config(other), paths) != by_flag
+    assert _outputs(capsys, command + config(other) + flag_argv, paths) == by_flag
+
+
+@pytest.mark.parametrize("data,flag_argv", [
+    ({"rho": "0.5"}, ["--rho", "0.5"]),
+    ({"alpha": "3"}, ["--alpha", "3"]),
+    ({"tol": "1e-3"}, ["--tol", "1e-3"]),
+    ({"N": 40.0}, ["--N", "40"]),
+    ({"N": "40"}, ["--N", "40"]),
+])
+def test_config_value_converts_like_its_flag(data, flag_argv, tmp_path, capsys):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps(data))
+    assert run_cli("eval-series", "--format", "json", "--config", str(cfgfile)) == 0
+    from_file = capsys.readouterr().out
+    assert run_cli("eval-series", "--format", "json", *flag_argv) == 0
+    assert capsys.readouterr().out == from_file
+
+
+@pytest.mark.parametrize("data,named", [
+    ({"xi": None}, "'xi'"),
+    ({"z": None}, "'z'"),
+    ({"rho": "0.5x"}, "'rho'"),
+    ({"N": 40.7}, "'N'"),
+    ({"amax": "ten"}, "'amax'"),
+    ({"nodes": 1e400}, "'nodes'"),
+    ({"K": True}, "'K'"),
+    ({"tol": [1e-3]}, "'tol'"),
+    ({"format": 1}, "'format'"),
+    ({"out": None}, "'out'"),
+    ({"full_grid": "yes"}, "'full_grid'"),
+    ({"s": ["a", 0.1]}, "--s"),
+    ({"grid": 5}, "grid"),
+    ({"grid": ["xi"]}, "grid axis"),
+])
+def test_bad_config_value_exits_2_naming_key(data, named, tmp_path, capsys):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps(data))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("eval-series", "--config", str(cfgfile)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("lame3trf: error:")
+    assert named in captured.err
+
+
+def test_config_grid_list_matches_flag(tmp_path, capsys):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"grid": ["xi=0.1,0.2"]}))
+    assert run_cli("sweep", "--config", str(cfgfile)) == 0
+    from_file = capsys.readouterr().out
+    assert run_cli("sweep", "--grid", "xi=0.1,0.2") == 0
+    assert capsys.readouterr().out == from_file
+    assert len(from_file.strip().split("\n")) == 3
 
 
 # -------------------------------------------------------------------- sweep
