@@ -65,7 +65,6 @@ class RunConfig:
     s: tuple = (0.3, 0.2, 0.1)
     gamma: float | None = None
     k: int | None = None
-    n_max: int = 1
     a_max: int | None = None
     nodes: int | None = None
     contour_m: int | None = None
@@ -92,7 +91,6 @@ _OPTIONS = (
     ("--s", "s", "s", tuple, 'comma-separated chain weights "s0,s1,..."'),
     ("--gamma", "gamma", "gamma", float, None),
     ("--K", "K", "k", int, None),
-    ("--nmax", "nmax", "n_max", int, None),
     ("--amax", "amax", "a_max", int, None),
     ("--nodes", "nodes", "nodes", int, None),
     ("--contour-m", "contour_m", "contour_m", int, None),
@@ -131,19 +129,20 @@ def _csv_text(header, rows):
     return "\n".join(lines) + "\n"
 
 
-def _json_text(obj):
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
-def _emit(text, out):
-    if out is None:
+def _emit(cfg, obj, header, rows):
+    """The JSON object, or else the CSV rows, to --out or to stdout."""
+    if cfg.fmt == "json":
+        text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    else:
+        text = _csv_text(header, rows)
+    if cfg.out is None:
         sys.stdout.write(text)
         return
     try:
-        with open(out, "w", newline="\n") as fh:
+        with open(cfg.out, "w", newline="\n") as fh:
             fh.write(text)
     except OSError as exc:
-        raise UsageError(f"cannot write {out}: {exc}") from exc
+        raise UsageError(f"cannot write {cfg.out}: {exc}") from exc
 
 
 def _params_dict(cfg, **extra):
@@ -163,12 +162,8 @@ def _params_dict(cfg, **extra):
 
 def _emit_record(cfg, header, row, fields):
     """One-record output: a single CSV row, or a JSON report holding fields."""
-    if cfg.fmt == "json":
-        obj = {"command": cfg.command, "params": _params_dict(cfg)}
-        obj.update(fields)
-        _emit(_json_text(obj), cfg.out)
-    else:
-        _emit(_csv_text(header, [row]), cfg.out)
+    _emit(cfg, {"command": cfg.command, "params": _params_dict(cfg), **fields},
+          header, [row])
     return 0
 
 
@@ -189,7 +184,7 @@ def _parse_s(raw):
 
 def _parse_grid_axes(entries, s_len):
     if not isinstance(entries, (list, tuple, dict)):
-        raise UsageError(f"grid must be a list of name=v1,v2,... strings, got {entries!r}")
+        raise UsageError(f"grid {entries!r} is not a list of name=v1,v2,... strings")
     axes = {}
     allowed = {"rho", "h", "alpha", "xi"} | {f"s{i}" for i in range(s_len)}
     for entry in entries:
@@ -279,12 +274,10 @@ def _validate(cfg):
     cfg.k = len(cfg.s) - 1
     for _, _, name, typ, _ in _OPTIONS:
         value = getattr(cfg, name)
-        if typ is int and name not in ("k", "n_max") and value is not None:
+        if typ is int and name != "k" and value is not None:
             if int(value) < 1:
                 raise UsageError(f"{name} must be positive")
             setattr(cfg, name, int(value))
-    if cfg.n_max < 0:
-        raise UsageError("nmax must be nonnegative")
     for name in ("gamma", "tol"):
         value = getattr(cfg, name)
         if value is not None and not math.isfinite(value):
@@ -530,21 +523,19 @@ def _run_verify(cfg, params):
     header, rows, (lhs, rhs, gap), tail, summary, extra = check(cfg, params)
     ok = all(row[-1] for row in rows)
     sys.stdout.write(f"{'PASS' if ok else 'FAIL'} {cfg.target}: {summary}\n")
-    if cfg.fmt == "json":
-        report = {
-            "command": f"verify {cfg.target}",
-            "params": _params_dict(cfg, **extra),
-            "lhs_re": float(np.real(lhs)),
-            "lhs_im": float(np.imag(lhs)),
-            "rhs_re": float(np.real(rhs)),
-            "rhs_im": float(np.imag(rhs)),
-            "gap": float(gap),
-            "tail_estimate": float(tail),
-            "pass": bool(ok),
-        }
-        _emit(_json_text(report), cfg.out)
-    elif cfg.out is not None:
-        _emit(_csv_text(header, rows), cfg.out)
+    report = {
+        "command": f"verify {cfg.target}",
+        "params": _params_dict(cfg, **extra),
+        "lhs_re": float(np.real(lhs)),
+        "lhs_im": float(np.imag(lhs)),
+        "rhs_re": float(np.real(rhs)),
+        "rhs_im": float(np.imag(rhs)),
+        "gap": float(gap),
+        "tail_estimate": float(tail),
+        "pass": bool(ok),
+    }
+    if cfg.fmt == "json" or cfg.out is not None:
+        _emit(cfg, report, header, rows)
     return 0 if ok else 1
 
 
@@ -584,20 +575,17 @@ def _run_sweep(cfg, params):
     if cfg.target not in _SWEEP_TARGETS:
         raise UsageError(f"sweep target must be one of {_SWEEP_TARGETS}")
     header, rows, all_ok = sweep_table(cfg)
-    if cfg.fmt == "json":
-        obj = {
-            "command": "sweep",
-            "target": cfg.target,
-            "params": _params_dict(cfg),
-            "rows": [
-                {k: (v if isinstance(v, (str, bool)) else float(v))
-                 for k, v in zip(header, row)}
-                for row in rows
-            ],
-        }
-        _emit(_json_text(obj), cfg.out)
-    else:
-        _emit(_csv_text(header, rows), cfg.out)
+    obj = {
+        "command": "sweep",
+        "target": cfg.target,
+        "params": _params_dict(cfg),
+        "rows": [
+            {k: (v if isinstance(v, (str, bool)) else float(v))
+             for k, v in zip(header, row)}
+            for row in rows
+        ],
+    }
+    _emit(cfg, obj, header, rows)
     return 0 if all_ok else 1
 
 

@@ -269,6 +269,15 @@ def test_malformed_config_exits_2(tmp_path, capsys):
     assert run_cli("eval-series", "--config", str(cfgfile)) == 2
 
 
+def test_nmax_is_gone(tmp_path, capsys):
+    # no command read it; it only echoed "n_max": 1 in the JSON params
+    assert run_cli("verify", "gf-order0", "--nmax", "1") == 2
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"nmax": 1}))
+    assert run_cli("verify", "gf-order0", "--config", str(cfgfile)) == 2
+    assert "unknown config keys: nmax" in capsys.readouterr().err
+
+
 def test_bad_sweep_axis_exits_2(capsys):
     assert run_cli("sweep", "--grid", "nonsense=1,2") == 2
 
@@ -322,7 +331,6 @@ ROUND_TRIPS = {
     "--s": (["verify", "gf-order0"], [0.1, 0.2], ["0.1,0.2"], [0.2, 0.1]),
     "--gamma": (["verify", "gf-order0"], 1.1, ["1.1"], 0.9),
     "--K": (["verify", "gf-order0"], 2, ["2"], 3),
-    "--nmax": (["eval-series"], 2, ["2"], 1),
     "--amax": (["verify", "gf-order0"], 30, ["30"], 40),
     "--nodes": (["verify", "gf-order0"], 16, ["16"], 24),
     "--contour-m": (["verify", "residue"], 128, ["128"], 256),
