@@ -303,10 +303,6 @@ def _with_defaults(cfg, defaults):
     return replace(cfg, **{k: v for k, v in defaults.items() if getattr(cfg, k) is None})
 
 
-def _point(cfg):
-    return EvaluationPoint.from_xi(cfg.xi, cfg.rho, z=cfg.z)
-
-
 # ------------------------------------------------------------- eval commands
 
 _SERIES_HEADER = ["rho", "h", "alpha", "lam", "xi", "n_terms", "value"]
@@ -324,7 +320,7 @@ def _series_row(cfg, params, pt):
 
 def _run_eval_series(cfg, params):
     cfg = _with_defaults(cfg, _SERIES_DEFAULTS)
-    row = _series_row(cfg, params, _point(cfg))
+    row = _series_row(cfg, params, EvaluationPoint.from_xi(cfg.xi, cfg.rho, z=cfg.z))
     return _emit_record(cfg, _SERIES_HEADER, row, {"value": float(row[-1])})
 
 
@@ -375,8 +371,10 @@ def _verify_lemma1(cfg, params):
 
 
 def _verify_ode(cfg, params):
-    header = ["rho", "h", "alpha", "lam", "xi", "n_terms", "residual", "scale",
-              "rel_residual", "passed"]
+    header = [
+        "rho", "h", "alpha", "lam", "xi", "n_terms",
+        "residual", "scale", "rel_residual", "passed",
+    ]
     rows = []
     for h in (0.0, 1.0):
         for alpha in (0.0, 3.0, 7.0):
@@ -398,8 +396,10 @@ def _verify_ode(cfg, params):
 def _verify_residue(cfg, params):
     e = 0.25 + cfg.lam
     rng = np.random.default_rng(_RESIDUE_SEED)
-    header = ["sample", "s", "t", "u", "eta", "quad_re", "quad_im", "closed", "gap",
-              "passed"]
+    header = [
+        "sample", "s", "t", "u", "eta",
+        "quad_re", "quad_im", "closed", "gap", "passed",
+    ]
     rows = []
     for idx in range(100):
         s = rng.uniform(0.02, 0.3)
@@ -435,9 +435,9 @@ def _gf_row(cfg, params, order_n, op_power):
     grid = None if order_n == 0 else make_quadrature_grid(
         cfg.lam, order_n, nodes=cfg.nodes, contour_m=cfg.contour_m
     )
+    pt = EvaluationPoint.from_xi(cfg.xi, cfg.rho, z=cfg.z)
     rep = gf_verify_order(
-        params, cfg.lam, weights, _point(cfg), order_n,
-        grid=grid, op_power=op_power,
+        params, cfg.lam, weights, pt, order_n, grid=grid, op_power=op_power
     )
     return (
         [cfg.rho, cfg.h, cfg.alpha, cfg.lam, cfg.xi, cfg.gamma] + list(cfg.s)
