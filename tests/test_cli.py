@@ -319,7 +319,6 @@ def _outputs(capsys, argv, paths):
 
 # One case per option: flag -> (command, file value, the same value as flag
 # arguments, another file value).
-
 ROUND_TRIPS = {
     "--rho": (["eval-series"], 0.7, ["0.7"], 0.6),
     "--h": (["eval-series"], 2.0, ["2"], 0.5),
@@ -361,7 +360,7 @@ def test_config_value_round_trips_through_its_flag(flag, tmp_path, monkeypatch, 
         path.write_text(json.dumps({key: v}))
         return ["--config", str(path)]
 
-    flag_argv = [a for v in flag_args or [None] for a in (flag, v) if a is not None]
+    flag_argv = [flag, *flag_args]
     by_flag = _outputs(capsys, command + flag_argv, paths)
     assert by_flag[1] or any(by_flag[2])
     assert _outputs(capsys, command + config(value), paths) == by_flag
