@@ -2,32 +2,34 @@
 
 The left-hand side applies the weight operator (a Pochhammer-weighted sum
 over alpha_0 and nested geometric sums over alpha_1..alpha_K) to the
-per-order terms of the series solution.  It is summed level by level: the
-exact Beta-sum level map of integral_forms acts on prefix sums over the
-level below, so no chain is visited and no quadrature is taken.  The
-right-hand side is the closed form obtained by resumming each level's
-geometric sum under the contour integral and keeping the interior-pole
-residue: per level a radical kernel evaluated at the effective weight,
-chained through the closed w-substitution, on Gauss-Jacobi meshes.
+per-order terms of the series solution.  One chain-sum loop sums it level
+by level from the weighted kappa rows: per level a join over the level
+below, the operator multipliers, then the exact Beta-sum level map of
+integral_forms, so no chain is visited and no quadrature is taken.  The
+right-hand side resums each level's geometric sum under the contour
+integral: per level the one closed kernel, jacobi_gf_closed at the
+effective weight, times the level below in the closed w-substitution
+(through an FFT transfer), on Gauss-Jacobi meshes.
 
 The order-1 resummation also adds the chains alpha_1 < alpha_0 (their origin
 residues), which the left side lacks, so the as-written identity carries a
 finite gap on generic weights.  gf_order1_origin_residue is minus those chain
-terms, summed exactly on the same level map with no mesh; what is left of
+terms: the same loop on strict suffix sums, with no mesh; what is left of
 lhs - rhs - residue is the quadrature error of the right side alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .scalar_kernels import (
     ConvergenceError,
     InvalidParameterError,
-    SingularValueError,
-    _principal_sqrt,
+    _gf_radical,
+    jacobi_gf_closed,
 )
 from .lame_series import lam_value
 from .integral_forms import (
@@ -58,6 +60,7 @@ __all__ = [
 ]
 
 _DEFAULT_TOLERANCES = {0: 1e-8, 1: 1e-6, 2: 1e-4}
+_M_X = 48  # points of the FFT transfer between levels
 
 
 @dataclass(frozen=True)
@@ -113,17 +116,8 @@ def upsilon(lam, gamma, s_eff, x, pt, a_max):
     lam = lam_value(lam)
     if not abs(s_eff) < 1:
         raise InvalidParameterError(f"effective weight must satisfy |s| < 1, got {s_eff}")
-    rows = _weighted_kappa(lam, _gw_weights(gamma, a_max), s_eff, a_max)
-    return pt.xi**lam * np.polyval(rows.sum(axis=0)[::-1], x)
-
-
-def _radical(s, w):
-    """R = sqrt(s^2 - 2(1 - 2w)s + 1) with a guard against the branch point."""
-    rad = s * s - 2 * (1 - 2 * w) * s + 1
-    R = _principal_sqrt(rad)
-    if np.min(np.abs(np.asarray(R))) < 1e-12:
-        raise SingularValueError("kernel radical vanished")
-    return R
+    coeffs = _chain_coeffs(None, lam, gamma, s_eff, [np.ones(a_max + 1)])
+    return pt.xi**lam * np.polyval(coeffs[::-1], x)
 
 
 def kernel_A(s, x):
@@ -140,7 +134,7 @@ def _kernel_ab_derivs(p_exp, s, w):
     """Closed kernel (1-s+R)^p (1+s+R)^(1/2) / R with first two w-derivatives."""
     if not abs(s) < 1:
         raise InvalidParameterError(f"weight must satisfy |s| < 1, got {s}")
-    R = _radical(s, w)
+    R = _gf_radical(1 - 2 * w, s)
     a = 1 - s + R
     b = 1 + s + R
     f = a**p_exp * b**0.5 / R
@@ -153,13 +147,12 @@ def _kernel_ab_derivs(p_exp, s, w):
 
 
 def _kernel_level(lam, level, s_eff, t, u, x):
-    """Level kernel [((1+s)+R)/2]^(-e)/R with e = level - 3/4 + lam."""
+    """Level kernel [((1+s)+R)/2]^(-e)/R with e = level - 3/4 + lam: the
+    Jacobi generating function P^(0,e) at 1 - 2x(1-t)(1-u) and weight s."""
     if not abs(s_eff) < 1:
         raise InvalidParameterError(f"weight must satisfy |s| < 1, got {s_eff}")
-    e = level - 0.75 + lam
     folded = x * (1 - t) * (1 - u)
-    R = _radical(s_eff, folded)
-    return ((1 + s_eff + R) / 2) ** (-e) / R
+    return jacobi_gf_closed(0, level - 0.75 + lam, 1 - 2 * folded, s_eff)
 
 
 def kernel_gamma(level_n, k_offset, s_eff, t, u, x):
@@ -172,50 +165,39 @@ def kernel_psi(level_n, k_offset, s_eff, t, u, x):
     return _kernel_level(0.5, level_n - k_offset, s_eff, t, u, x)
 
 
-def _level_mesh(level_rule):
-    t, u = np.meshgrid(level_rule.t_nodes, level_rule.u_nodes, indexing="ij")
-    w = np.outer(level_rule.t_weights, level_rule.u_weights)
-    return t, u, w
+def _closed_levels(params, lam, s, grid, x, acted, n, op_power):
+    """Closed right side of levels 1..n at x, before the mu^n xi^lam and trailing factors.
 
-
-def _level_sum(lam, level, s_eff, mesh, x, acted):
-    """One closed level: sum of weight * level kernel * acted(w~) on the mesh."""
-    t, u, w = mesh
-    ker = _kernel_level(lam, level, s_eff, t, u, x)
-    return np.sum(w * ker * acted(_w_tilde_vals(s_eff, t, u, x)))
-
-
-def _closed_levels(params, lam, s, grid, eta, acted, n, op_power):
-    """Closed right side of levels 1..n, before the mu^n xi^lam and trailing factors.
-
-    Level l runs at the effective weight s_l...s_K: the geometric sums of the
-    levels above it, summed first, carry their weights down to alpha_l.
-    acted(w~) is the operator-acted level-1 integrand.  For n = 2 the level-1
-    sum is a function of the level-2 chained variable; its Taylor coefficients
-    come from an FFT on a circle four times wider than the largest |w~|, so
-    the level-2 operator can act on them power by power.
-    A complex top-level sum (radicand (1 - S)^2 + 4 S X < 0) raises ConvergenceError.
+    x is the real top point, or below the top an array of points of shape
+    (m, 1, 1), one sum each.  Level n runs at the effective weight s_n...s_K:
+    the geometric sums of the levels above it, summed first, carry their
+    weights down to alpha_n.  Its integrand is acted(w~) at level 1, the
+    operator-acted bottom series.  Above level 1 it is the level below as a
+    function of the chained variable w~: its Taylor coefficients come from an
+    FFT of level n - 1 at 48 points of a circle four times wider than the
+    largest |w~|, so this level's operator can act on them power by power.
+    At the real top point a complex sum (radicand (1 - S)^2 + 4 S X < 0)
+    raises ConvergenceError.
     """
     s_eff = s_partial_product(s, n, s.K)
-    outer = _level_mesh(grid.levels[n - 1])
-    if n == 1:
-        top = _level_sum(lam, 1, s_eff, outer, eta, acted)
-    else:
-        inner = _level_mesh(grid.levels[0])
-        s_one = s_partial_product(s, 1, s.K)
-        wt_outer = _w_tilde_vals(s_eff, outer[0], outer[1], eta)
-        m_x = 48
-        r_f = max(4 * float(np.max(np.abs(wt_outer))), 0.02)
-        xs = r_f * np.exp(2j * np.pi * np.arange(m_x) / m_x)
-        g_vals = np.array([_level_sum(lam, 1, s_one, inner, x, acted) for x in xs])
-        taylor = (np.fft.fft(g_vals) / (m_x * r_f ** np.arange(m_x))).real
-        mult2 = diag_operator_multipliers(params, (1 + lam) / 2, op_power, m_x - 1)
-        g_op = (taylor * mult2)[::-1]
-        top = _level_sum(lam, 2, s_eff, outer, eta, lambda wt: np.polyval(g_op, wt))
-    if np.iscomplexobj(top):
+    rule = grid.levels[n - 1]
+    t, u = np.meshgrid(rule.t_nodes, rule.u_nodes, indexing="ij")
+    wt = _w_tilde_vals(s_eff, t, u, x)
+    if n > 1:
+        r_f = max(4 * float(np.max(np.abs(wt))), 0.02)
+        xs = r_f * np.exp(2j * np.pi * np.arange(_M_X) / _M_X)
+        below = _closed_levels(params, lam, s, grid, xs[:, None, None], acted, n - 1, op_power)
+        taylor = (np.fft.fft(below) / (_M_X * r_f ** np.arange(_M_X))).real
+        mult = diag_operator_multipliers(params, (n - 1 + lam) / 2, op_power, _M_X - 1)
+        acted = partial(np.polyval, (taylor * mult)[::-1])
+    weights = np.outer(rule.t_weights, rule.u_weights)
+    total = np.sum(weights * _kernel_level(lam, n, s_eff, t, u, x) * acted(wt), axis=(-2, -1))
+    if np.ndim(x):  # points of the transfer circle of the level above
+        return total
+    if np.iscomplexobj(total):
         raise ConvergenceError(f"order-{n} closed right side is complex: "
                                "the kernel radicand is negative on the mesh")
-    return float(top)
+    return float(total)
 
 
 def _geom(s, from_k):
@@ -247,26 +229,41 @@ def _trailing_table(s, order_n, a_max):
     return table
 
 
-def _weighted_kappa(lam, gw, s0, a_max):
-    """Rows (gamma)_a0/a0! s0^a0 kappa_a0 of the bottom series, zero-padded.
-
-    Rows whose weight vanishes (s0 = 0, a0 > 0) stay zero and kappa is not built.
-    """
-    table = np.zeros((a_max + 1, a_max + 1))
-    for a0 in range(a_max + 1):
-        wa0 = gw[a0] * s0**a0
-        if wa0 == 0 and a0 > 0:
-            continue
-        table[a0, : a0 + 1] = wa0 * base_series_coefficients(a0, lam)
-    return table
-
-
-def _map_rows(rows, level, lam, weight):
-    """Row a -> weight[a] rows[a, :a+1] @ _level_map(level, lam, a); zero where weight[a] = 0."""
+def _strict_suffix_sums(rows):
+    """Row a: the sum of the rows above it, over alpha_{l-1} > a."""
     out = np.zeros_like(rows)
-    for a in np.flatnonzero(weight):
-        out[a, : a + 1] = weight[a] * (rows[a, : a + 1] @ _level_map(level, lam, a))
+    out[:-1] = np.cumsum(rows[:0:-1], axis=0)[::-1]
     return out
+
+
+def _chain_coeffs(params, lam, gamma, s0, weights, op_power=2,
+                  join=partial(np.cumsum, axis=0)):
+    """Coefficient vector, in powers of the chained variable, of a weighted chain sum.
+
+    Level 0 row a is (gamma)_a/a! s0^a kappa_a weights[0][a], with kappa_a the
+    base series coefficients; rows of zero weight (s0 = 0, a > 0) stay zero and
+    kappa is not built.  Each level l >= 1 joins the rows of level l - 1 over
+    alpha_{l-1} (by default prefix sums, alpha_{l-1} <= alpha_l: the ordered
+    chains), applies the level's operator multipliers, and maps row a by the
+    exact level map to degree a at the weight weights[l][a].  No chain is
+    visited and no quadrature is taken.  Returns the sum of the top level's rows.
+    """
+    a_max = len(weights[0]) - 1
+    gw = _gw_weights(gamma, a_max)
+    rows = np.zeros((a_max + 1, a_max + 1))
+    for a in range(a_max + 1):
+        wa = gw[a] * s0**a
+        if wa == 0 and a > 0:
+            continue
+        rows[a, : a + 1] = wa * base_series_coefficients(a, lam) * weights[0][a]
+    for level in range(1, len(weights)):
+        joined = join(rows) * diag_operator_multipliers(
+            params, (level - 1 + lam) / 2, op_power, a_max)
+        rows = np.zeros_like(rows)
+        for a in np.flatnonzero(weights[level]):
+            rows[a, : a + 1] = weights[level][a] * (
+                joined[a, : a + 1] @ _level_map(level, lam, a))
+    return rows.sum(axis=0)
 
 
 def _check_order(weights, order_n):
@@ -279,24 +276,16 @@ def _check_order(weights, order_n):
 def _lhs_value(params, lam, weights, pt, order_n, grid, op_power):
     lam = lam_value(lam)
     _check_order(weights, order_n)
-    if order_n >= 1 and grid is not None:
+    if grid is not None:
         _require_grid(grid, lam, order_n)
     s = weights.s
-    a_max = weights.A_max
-    trailing = _trailing_table(s, order_n, a_max)
-    # level by level, no grid: row a holds the weighted level-l outputs of all
-    # chains with alpha_l = a; its prefix sums over a feed level l + 1
-    table = _weighted_kappa(lam, _gw_weights(weights.gamma, a_max), s[0], a_max)
-    if order_n == 0:
-        table = table * trailing[:, None]
-    for level in range(1, order_n + 1):
-        mult = diag_operator_multipliers(params, (level - 1 + lam) / 2, op_power, a_max)
-        weight = s[level] ** np.arange(a_max + 1)
-        if level == order_n:
-            weight = weight * trailing
-        table = _map_rows(np.cumsum(table, axis=0) * mult, level, lam, weight)
-    top = np.polyval(table.sum(axis=0)[::-1], pt.eta)
-    return pt.mu**order_n * pt.xi**lam * float(top)
+    powers = np.arange(weights.A_max + 1)
+    # level 0 carries no weight beyond its kappa rows; the top level also
+    # carries the sums over alpha_{n+1}..alpha_K
+    level_weights = [np.ones(len(powers))] + [s[l] ** powers for l in range(1, order_n + 1)]
+    level_weights[-1] = level_weights[-1] * _trailing_table(s, order_n, weights.A_max)
+    coeffs = _chain_coeffs(params, lam, weights.gamma, s[0], level_weights, op_power)
+    return pt.mu**order_n * pt.xi**lam * float(np.polyval(coeffs[::-1], pt.eta))
 
 
 def _lhs_tail(params, lam, weights, pt, order_n, grid, op_power):
@@ -333,10 +322,10 @@ def gf_rhs_order(params, lam, weights, pt, order_n, grid=None, op_power=2):
     grid = _require_grid(grid, lam, order_n)
     mult = diag_operator_multipliers(params, lam / 2, op_power, a_max)
     # operator-acted bottom series, in powers of the chained variable
-    gw = _gw_weights(weights.gamma, a_max)
-    coeffs = (_weighted_kappa(lam, gw, s[0], a_max).sum(axis=0) * mult)[::-1]
+    bottom = _chain_coeffs(params, lam, weights.gamma, s[0], [np.ones(a_max + 1)])
+    coeffs = (bottom * mult)[::-1]
     total = _closed_levels(params, lam, s, grid, pt.eta,
-                           lambda wt: np.polyval(coeffs, wt), order_n, op_power)
+                           partial(np.polyval, coeffs), order_n, op_power)
     return pt.mu**order_n * pt.xi**lam * prefactor * total
 
 
@@ -354,15 +343,11 @@ def gf_order1_origin_residue(params, lam, weights, pt, grid=None, op_power=2):
     if grid is not None:
         _require_grid(grid, lam, 1)
     s = weights.s
-    a_max = weights.A_max
-    rows = _weighted_kappa(lam, _gw_weights(weights.gamma, a_max), s[0], a_max)
-    # row a: the sum of the weighted kappa rows over alpha_0 > a
-    above = np.zeros_like(rows)
-    above[:-1] = np.cumsum(rows[:0:-1], axis=0)[::-1]
-    mult = diag_operator_multipliers(params, lam / 2, op_power, a_max)
-    weight = s_partial_product(s, 1, s.K) ** np.arange(a_max + 1)
-    table = _map_rows(above * mult, 1, lam, weight)
-    top = np.polyval(table.sum(axis=0)[::-1], pt.eta)
+    powers = np.arange(weights.A_max + 1)
+    level_weights = [np.ones(len(powers)), s_partial_product(s, 1, s.K) ** powers]
+    coeffs = _chain_coeffs(params, lam, weights.gamma, s[0], level_weights, op_power,
+                           _strict_suffix_sums)
+    top = np.polyval(coeffs[::-1], pt.eta)
     return -pt.mu * pt.xi**lam * _geom(s, 2) * float(top)
 
 
@@ -408,11 +393,8 @@ def gf_remark(kind, params, weights, pt, grid, n_max):
         raise InvalidParameterError(
             f"{kind}-kind assembly requires gamma = {lam + 0.75}, got {weights.gamma}"
         )
-    if n_max not in (0, 1, 2):
-        raise InvalidParameterError(f"n_max must be 0, 1, or 2, got {n_max}")
+    _check_order(weights, n_max)
     s = weights.s
-    if n_max > s.K:
-        raise InvalidParameterError(f"n_max {n_max} exceeds chain length K={s.K}")
 
     def acted(wt):
         return _op_closed(params, lam / 2, 2, *_kernel_ab_derivs(p_exp, s[0], wt), wt)

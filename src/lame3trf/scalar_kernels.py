@@ -163,12 +163,20 @@ def _principal_sqrt(v):
     return math.sqrt(v) if v >= 0 else complex(v) ** 0.5
 
 
-def jacobi_gf_closed(a, b, x, w):
-    """Closed form 2^(a+b) (1-w+R)^(-a) (1+w+R)^(-b) / R with R = sqrt(w^2 - 2xw + 1)."""
+def _gf_radical(x, w):
+    """R = sqrt(w^2 - 2xw + 1), elementwise, guarded against the branch point."""
     R = _principal_sqrt(w * w - 2 * x * w + 1)
-    if abs(R) == 0:
-        raise SingularValueError("generating-function radicand vanished")
-    return 2 ** (a + b) * (1 - w + R) ** (-a) * (1 + w + R) ** (-b) / R
+    if np.min(np.abs(R)) < 1e-12:
+        raise SingularValueError("generating-function radical vanished")
+    return R
+
+
+def jacobi_gf_closed(a, b, x, w):
+    """Closed form ((1-w+R)/2)^(-a) ((1+w+R)/2)^(-b) / R of sum_n P_n^(a,b)(x) w^n,
+    R = sqrt(w^2 - 2xw + 1); elementwise, and the a = 0 factor is skipped."""
+    R = _gf_radical(x, w)
+    out = ((1 + w + R) / 2) ** (-b) / R
+    return out if a == 0 else ((1 - w + R) / 2) ** (-a) * out
 
 
 def lemma1_radius(x):
@@ -216,10 +224,7 @@ def lemma1_identity(gamma, A, w, x, N):
             q = (w * c1 * terms[-1] - w * w * c2 * terms[-2]) / c0
         terms.append(q)
     lhs = _fsum_terms(terms)
-    R = _principal_sqrt(w * w - 2 * y * w + 1)
-    if abs(R) == 0:
-        raise SingularValueError("identity radicand vanished")
-    rhs = 2 ** (A - 1) * (1 - w + R) ** (1 - gamma) * (1 + w + R) ** (gamma - A) / R
+    rhs = jacobi_gf_closed(a, b, y, w)
     gap = abs(lhs - rhs)
     if not (cmath.isfinite(lhs) and math.isfinite(gap)):
         raise ConvergenceError("weighted sum or closed form is not finite")

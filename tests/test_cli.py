@@ -17,6 +17,7 @@ from lame3trf.lame_series import (
     eval_series,
     series_coefficients,
 )
+from lame3trf.generating_functions import kernel_gamma, kernel_psi
 from lame3trf.scalar_kernels import jacobi_sn_cn_dn
 
 REPORT_KEYS = {
@@ -127,6 +128,18 @@ def test_verify_ode_passes(capsys):
 def test_verify_residue_passes(capsys):
     assert run_cli("verify", "residue") == 0
     assert capsys.readouterr().out.startswith("PASS residue")
+
+
+@pytest.mark.parametrize("lam,kernel", [("0", kernel_gamma), ("0.5", kernel_psi)])
+def test_verify_residue_closed_column_is_the_level1_kernel(lam, kernel, tmp_path, capsys):
+    out = tmp_path / "residue.csv"
+    assert run_cli("verify", "residue", "--lambda", lam, "--out", str(out)) == 0
+    capsys.readouterr()
+    _, rows = parse_csv(out.read_text())
+    assert len(rows) == 100
+    for r in rows:
+        s, t, u, eta = (float(r[k]) for k in ("s", "t", "u", "eta"))
+        assert float(r["closed"]) == kernel(1, 0, s, t, u, eta)
 
 
 def test_verify_kernels_passes(capsys):

@@ -12,6 +12,7 @@ from lame3trf.scalar_kernels import (
     InvalidParameterError,
     SingularValueError,
     gauss_2f1,
+    jacobi_gf_closed,
     pochhammer,
 )
 from lame3trf.lame_series import EvaluationPoint, LameParams
@@ -474,6 +475,20 @@ def test_kernel_exponent_semantics():
     )
     # psi family exponent: (level_n - k_offset) - 1/4
     assert kernel_psi(2, 0, s, t, u, x) == pytest.approx(mid**-1.75 / R, rel=1e-14)
+
+
+def test_level_kernels_are_the_jacobi_closed_form():
+    t, u = np.meshgrid([0.1, 0.5, 0.9], [0.2, 0.7])
+    for s, x in [(0.2, -0.1), (0.05, -0.6), (-0.3, 0.2)]:
+        folded = 1 - 2 * x * (1 - t) * (1 - u)
+        for level_n, k_offset in [(1, 0), (2, 0), (3, 1)]:
+            e = level_n - k_offset
+            assert np.array_equal(kernel_gamma(level_n, k_offset, s, t, u, x),
+                                  jacobi_gf_closed(0, e - 0.75, folded, s))
+            assert np.array_equal(kernel_psi(level_n, k_offset, s, t, u, x),
+                                  jacobi_gf_closed(0, e - 0.25, folded, s))
+            assert kernel_gamma(level_n, k_offset, s, 0.3, 0.4, x) == jacobi_gf_closed(
+                0, e - 0.75, 1 - 2 * x * (1 - 0.3) * (1 - 0.4), s)
 
 
 def test_kernels_positive_on_box():

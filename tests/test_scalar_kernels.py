@@ -13,6 +13,7 @@ from scipy.special import ellipj, eval_jacobi
 from lame3trf.scalar_kernels import (
     ConvergenceError,
     InvalidParameterError,
+    SingularValueError,
     gauss_2f1,
     jacobi_gf_closed,
     jacobi_polynomial,
@@ -215,7 +216,32 @@ def test_jacobi_gf_closed_vs_truncated_sum():
         )
 
 
+def test_jacobi_gf_closed_elementwise_on_ndarray():
+    a, b = 0.3, 1.7
+    x = np.array([[0.3, -0.5], [1.0, 0.9]])
+    w = np.array([[0.2, -0.25], [0.1, 0.45]])
+    got = jacobi_gf_closed(a, b, x, w)
+    assert got.shape == x.shape
+    want = [jacobi_gf_closed(a, b, xv, wv) for xv, wv in zip(x.flat, w.flat)]
+    np.testing.assert_allclose(got.ravel(), want, rtol=1e-15, atol=0)
+
+
+def test_jacobi_gf_closed_raises_on_branch_point_entry():
+    # w = 0.5, x = 1.25 zeroes w^2 - 2xw + 1 exactly in float arithmetic
+    with pytest.raises(SingularValueError):
+        jacobi_gf_closed(0.0, 0.5, np.array([0.3, 1.25, -0.2]), 0.5)
+    with pytest.raises(SingularValueError):
+        jacobi_gf_closed(0.0, 0.5, 1.25, 0.5)
+
+
 # -------------------------------------------------------- lemma1_identity
+
+def test_lemma1_rhs_is_the_jacobi_closed_form():
+    for gamma, A, w, x in [(0.75, 0.25, 0.2, -0.3), (1.25, 0.75, -0.1, 0.6),
+                           (1.0, 3.0, 0.25, 0.1), (1.3, 0.6, 0.1j, 0.2)]:
+        rhs = lemma1_identity(gamma, A, w, x, 20)["rhs"]
+        assert rhs == jacobi_gf_closed(gamma - 1, A - gamma, 1 - 2 * x, w)
+
 
 def test_lemma1_identity_frozen_case():
     rep = lemma1_identity(0.75, 0.25, 0.2, -0.3, 60)
