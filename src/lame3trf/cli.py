@@ -27,6 +27,7 @@ from .scalar_kernels import (
     jacobi_gf_closed,
     jacobi_sn_cn_dn,
     lemma1_identity,
+    lemma1_radius,
 )
 from .lame_series import (
     EvaluationPoint,
@@ -38,7 +39,8 @@ from .lame_series import (
     series_coefficients,
 )
 from .integral_forms import SParameters, contour_integral, make_quadrature_grid
-from .generating_functions import GFWeights, gf_verify_order, kernel_A, kernel_B
+from .generating_functions import (_DEFAULT_TOLERANCES, GFWeights, gf_verify_order,
+                                   kernel_A, kernel_B)
 
 __all__ = ["RunConfig", "main", "run", "sweep_table"]
 
@@ -357,13 +359,15 @@ def _verify_lemma1(cfg, params):
     for gamma, a_param in pairs:
         for w in ws:
             for x in xs:
-                # the convergence radius of the weighted sum shrinks below
-                # 0.31 at x=-0.4, where |w|=0.3 cannot reach tolerance by
-                # n=60; the default grid keeps the fast-converging points
+                # the convergence radius r is 0.303 at x=-0.4, so the default grid
+                # leaves out |w|=0.3 there; each point takes at least --N terms,
+                # and enough for the geometric tail q^N/(1 - q), q = |w|/r, < tol
                 if not cfg.full_grid and x == -0.4 and abs(w) > 0.25:
                     continue
-                res = lemma1_identity(gamma, a_param, w, x, cfg.n_terms)
-                rows.append([gamma, a_param, w, x, cfg.n_terms, res["lhs"],
+                q = abs(w) / lemma1_radius(x)
+                n = max(cfg.n_terms, math.ceil(math.log(cfg.tol * (1 - q)) / math.log(q)))
+                res = lemma1_identity(gamma, a_param, w, x, n)
+                rows.append([gamma, a_param, w, x, n, res["lhs"],
                              res["rhs"], res["gap"], res["gap"] < cfg.tol])
     worst = max(rows, key=itemgetter(7))
     summary = f"points={len(rows)} max_gap={worst[7]:.3e} tol={cfg.tol:g}"
@@ -502,11 +506,12 @@ _VERIFY_TARGETS = {
     "lemma1": (_verify_lemma1, {"n_terms": 60, "tol": 1e-9}),
     "ode": (_verify_ode, {"n_terms": 40, "tol": 1e-12}),
     "residue": (_verify_residue, {"contour_m": 512, "tol": 1e-10}),
-    "gf-order0": (partial(_verify_gf_order, order_n=0), {"a_max": 60, "tol": 1e-8}),
+    "gf-order0": (partial(_verify_gf_order, order_n=0),
+                  {"a_max": 60, "tol": _DEFAULT_TOLERANCES[0]}),
     "gf-order1": (partial(_verify_gf_order, order_n=1),
-                  {"a_max": 30, "nodes": 64, "contour_m": 512, "tol": 1e-6}),
+                  {"a_max": 30, "nodes": 64, "contour_m": 512, "tol": _DEFAULT_TOLERANCES[1]}),
     "gf-order2": (partial(_verify_gf_order, order_n=2),
-                  {"a_max": 10, "nodes": 32, "contour_m": 256, "tol": 1e-4}),
+                  {"a_max": 10, "nodes": 32, "contour_m": 256, "tol": _DEFAULT_TOLERANCES[2]}),
     "kernels": (_verify_kernels, {"n_terms": 60, "tol": 1e-9}),
 }
 

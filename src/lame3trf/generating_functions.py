@@ -35,11 +35,13 @@ from .lame_series import lam_value
 from .integral_forms import (
     AlphaChain,
     SParameters,
+    _circle,
+    _circle_taylor,
     _level_map,
+    _require_grid,
     _w_tilde_vals,
     base_series_coefficients,
     diag_operator_multipliers,
-    make_quadrature_grid,
     s_partial_product,
     y_n_term_closed,
 )
@@ -185,9 +187,9 @@ def _closed_levels(params, lam, s, grid, x, acted, n, op_power):
     wt = _w_tilde_vals(s_eff, t, u, x)
     if n > 1:
         r_f = max(4 * float(np.max(np.abs(wt))), 0.02)
-        xs = r_f * np.exp(2j * np.pi * np.arange(_M_X) / _M_X)
+        xs = _circle(_M_X, r_f)
         below = _closed_levels(params, lam, s, grid, xs[:, None, None], acted, n - 1, op_power)
-        taylor = (np.fft.fft(below) / (_M_X * r_f ** np.arange(_M_X))).real
+        taylor = _circle_taylor(below, r_f).real
         mult = diag_operator_multipliers(params, (n - 1 + lam) / 2, op_power, _M_X - 1)
         acted = partial(np.polyval, (taylor * mult)[::-1])
     weights = np.outer(rule.t_weights, rule.u_weights)
@@ -206,18 +208,6 @@ def _geom(s, from_k):
     for k in range(from_k, s.K + 1):
         out /= 1 - s_partial_product(s, k, s.K)
     return out
-
-
-def _require_grid(grid, lam, n_levels):
-    if grid is None:
-        return make_quadrature_grid(lam, n_levels)
-    if grid.lam != lam:
-        raise InvalidParameterError("grid was built for a different indicial exponent")
-    if len(grid.levels) < n_levels:
-        raise InvalidParameterError(
-            f"grid has {len(grid.levels)} levels, need {n_levels}"
-        )
-    return grid
 
 
 def _trailing_table(s, order_n, a_max):
@@ -274,6 +264,9 @@ def _check_order(weights, order_n):
 
 
 def _lhs_value(params, lam, weights, pt, order_n, grid, op_power):
+    """Left side of the order-n identity.  It stays apart from gf_lhs_order because
+    perfbench's tracer reads gf_verify_order's left side as its span minus its
+    gf_rhs_order child; a gf_lhs_order call there would be timed twice."""
     lam = lam_value(lam)
     _check_order(weights, order_n)
     if grid is not None:

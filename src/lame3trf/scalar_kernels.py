@@ -136,22 +136,42 @@ def gauss_2f1(a, b, c, x, tol: ToleranceConfig | None = None):
     return _fsum_terms(terms)
 
 
+def _jacobi_terms(n, a, b, x, w=1.0):
+    """Yield w^k P_k^(a,b)(x) for k = 0..n, elementwise in x.
+
+    The three-term recurrence (DLMF 18.9.1) is carried on w^k P_k, which
+    stays bounded where P_k itself overflows; the cost is O(n).  Where it
+    leaves P_k free (its leading coefficient 2k(k+a+b)(2k+a+b-2) vanishes,
+    at integer a + b <= -2) the term comes from the 2F1 form
+    (a+1)_k/k! 2F1(-k, k+a+b+1; a+1; (1-x)/2) (DLMF 18.5.7), for scalar x.
+    """
+    p_prev = 0 * x + 1.0
+    yield p_prev
+    if n == 0:
+        return
+    p = ((a + 1) + (a + b + 2) * (x - 1) / 2) * w
+    yield p
+    for k in range(2, n + 1):
+        s = 2 * k + a + b
+        den = 2 * k * (k + a + b) * (s - 2)
+        if den == 0:
+            q = pochhammer(a + 1, k) / math.factorial(k) * w**k
+            q = q * gauss_2f1(-float(k), k + a + b + 1, a + 1, (1 - x) / 2)
+        else:
+            lead = (s - 1) * s * (s - 2) / den
+            shift = (s - 1) * (a * a - b * b) / den
+            back = 2 * (k + a - 1) * (k + b - 1) * s / den
+            q = (lead * x + shift) * w * p - back * w * w * p_prev
+        p_prev, p = p, q
+        yield p
+
+
 def jacobi_polynomial(n, a, b, x):
-    """Jacobi polynomial P_n^(a,b)(x) from its finite double-product expansion."""
+    """Jacobi polynomial P_n^(a,b)(x) by the three-term recurrence."""
     if n < 0 or n != int(n):
         raise InvalidParameterError(f"degree must be a nonnegative integer, got {n}")
-    n = int(n)
-    half = (x - 1) / 2
-    fact = math.factorial(n)
-    terms = []
-    for m in range(n + 1):
-        coeff = (
-            math.comb(n, m)
-            * pochhammer(m + a + 1, n - m)
-            * pochhammer(n + a + b + 1, m)
-        )
-        terms.append(coeff * half**m / fact)
-    return _fsum_terms(terms)
+    *_, p = _jacobi_terms(int(n), a, b, x)
+    return p
 
 
 def _principal_sqrt(v):
@@ -191,9 +211,8 @@ def lemma1_identity(gamma, A, w, x, N):
     """Compare the weighted terminating-2F1 sum against its product closed form.
 
     The n-th term (gamma)_n / n! * w^n * 2F1(-n, n+A; gamma; x) equals
-    q_n = w^n P_n^(gamma-1, A-gamma)(1-2x), so the terms come from the Jacobi
-    three-term recurrence (DLMF 18.9.1) carried on q_n, which stays bounded
-    where P_n itself overflows; the cost is O(N).  The sum converges for
+    w^n P_n^(gamma-1, A-gamma)(1-2x), so the terms come from the Jacobi
+    recurrence of _jacobi_terms; the cost is O(N).  The sum converges for
     |w| < lemma1_radius(x); outside it ConvergenceError is raised.
 
     Returns a dict with keys lhs (N+1-term sum), rhs (closed form), gap.
@@ -209,21 +228,7 @@ def lemma1_identity(gamma, A, w, x, N):
         )
     a, b = gamma - 1, A - gamma
     y = 1 - 2 * x
-    terms = [1.0]
-    if N >= 1:
-        terms.append(w * (gamma - (A + 1) * x))
-    for n in range(2, N + 1):
-        s = 2 * n + a + b
-        c0 = 2 * n * (n + a + b) * (s - 2)
-        if c0 == 0:  # the recurrence leaves P_n free; take the 2F1 form
-            q = pochhammer(gamma, n) / math.factorial(n) * w**n
-            q = q * gauss_2f1(-float(n), n + A, gamma, x)
-        else:
-            c1 = (s - 1) * (s * (s - 2) * y + a * a - b * b)
-            c2 = 2 * (n + a - 1) * (n + b - 1) * s
-            q = (w * c1 * terms[-1] - w * w * c2 * terms[-2]) / c0
-        terms.append(q)
-    lhs = _fsum_terms(terms)
+    lhs = _fsum_terms(list(_jacobi_terms(N, a, b, y, w)))
     rhs = jacobi_gf_closed(a, b, y, w)
     gap = abs(lhs - rhs)
     if not (cmath.isfinite(lhs) and math.isfinite(gap)):

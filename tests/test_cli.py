@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface: output formats, exit
 codes, config precedence, sweeps, and byte-level determinism."""
 
+import csv
 import json
 import subprocess
 import sys
@@ -111,13 +112,20 @@ def test_verify_lemma1_default_grid_passes(capsys):
     assert capsys.readouterr().out.startswith("PASS lemma1")
 
 
-def test_verify_lemma1_full_grid_fails_honestly(capsys):
-    # six grid points sit at ~0.99 of the series convergence radius, where
-    # 60 terms cannot reach 1e-9; the full grid reports that honestly
-    assert run_cli("verify", "lemma1", "--full-grid") == 1
+def test_verify_lemma1_full_grid_passes_with_terms_per_point(tmp_path, capsys):
+    # six grid points sit at q = |w|/r = 0.989 of the series convergence
+    # radius; each takes the terms its geometric tail needs (2,282 for 1e-9),
+    # the other 30 keep --N = 60
+    out_csv = tmp_path / "full.csv"
+    assert run_cli("verify", "lemma1", "--full-grid", "--out", str(out_csv)) == 0
     out = capsys.readouterr().out
-    assert out.startswith("FAIL lemma1")
+    assert out.startswith("PASS lemma1")
     assert "points=36" in out
+    rows = list(csv.DictReader(out_csv.read_text().splitlines()))
+    corner = [r for r in rows if float(r["x"]) == -0.4 and abs(float(r["w"])) == 0.3]
+    assert len(rows) == 36 and len(corner) == 6
+    assert {r["n_terms"] for r in corner} == {"2282"}
+    assert {r["n_terms"] for r in rows if r not in corner} == {"60"}
 
 
 def test_verify_ode_passes(capsys):

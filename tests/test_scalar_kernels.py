@@ -142,6 +142,24 @@ def test_jacobi_polynomial_matches_scipy_grid():
         )
 
 
+def test_jacobi_polynomial_matches_mpmath_to_degree_60():
+    # within 1e-13 max(|P|, 1), plus one ulp of x times |x P'(x)|: near
+    # x = +-1 the value's condition number |x P'/P| reaches about 1e4 (x = 0.995,
+    # a = 1.5, n = 42), so a backward-stable evaluation may miss by that many ulps
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(61)
+    points = [(0.3, 0.7, -0.81)] + [
+        tuple(rng.uniform((-0.9, -0.9, -1.0), (2.5, 2.5, 1.0))) for _ in range(11)
+    ]
+    with mpmath.workdps(40):
+        for a, b, x in points:
+            for n in range(61):
+                want = mpmath.jacobi(n, a, b, x)
+                slope = (n + a + b + 1) / 2 * mpmath.jacobi(n - 1, a + 1, b + 1, x) if n else 0
+                tol = 1e-13 * max(abs(want), 1) + 2.0**-52 * abs(x * slope)
+                assert abs(jacobi_polynomial(n, a, b, x) - want) <= tol, (n, a, b, x)
+
+
 def test_jacobi_polynomial_hypergeometric_relation():
     # 2F1(-n, n+a+b+1; a+1; x) = n!/(a+1)_n * P_n^(a,b)(1-2x).
     # The gap is measured against the largest series term so that the
